@@ -35,9 +35,7 @@ from .models import (
     DoubleIrrepParams,
     build_dsn,
     build_su2k,
-    f_matrix,
     parse_model_spec,
-    r_phase,
 )
 from .nonabelian import (
     WalkGeometry,
@@ -58,13 +56,11 @@ from .quantum_double import (
 )
 from .tl import (
     BraidWord,
-    TLElement,
     anyon_trace,
     markov_bracket,
     plat_bracket,
     skein_expand,
     state_sum_bracket,
-    tl_compose,
 )
 
 __all__ = [
@@ -81,7 +77,6 @@ __all__ = [
     "LaurentPoly",
     "MarkovValue",
     "NumericError",
-    "TLElement",
     "WalkGeometry",
     "abelian_step",
     "anyon_trace",
@@ -99,7 +94,6 @@ __all__ = [
     "distribution_pathsum",
     "double_walk_distribution",
     "enumerate_fusion_basis",
-    "f_matrix",
     "markov_bracket",
     "markov_trace_word",
     "momentum_operator",
@@ -107,13 +101,11 @@ __all__ = [
     "parse_model_spec",
     "path_braid_word",
     "plat_bracket",
-    "r_phase",
     "simulate_distribution",
     "skein_expand",
     "state_sum_bracket",
     "su22_qubit_generator",
     "sweep_distances",
-    "tl_compose",
     "tl_generator",
     "trace_factor",
     "vacuum_pair_state",

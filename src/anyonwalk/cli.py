@@ -20,7 +20,9 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -102,19 +104,34 @@ def _distribution_envelope(dist, meta_extra: dict | None = None) -> ResultEnvelo
     return ResultEnvelope("distribution", payload, meta)
 
 
-def _parse_floats(text: str) -> list[float]:
-    import math
+# a number is signed factors, each a decimal or pi, joined by * and /
+_TOKENS = re.compile(r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?)|(?P<pi>pi)|(?P<op>\S)")
 
-    values = []
-    for part in text.split(","):
-        part = part.strip().replace("pi", repr(math.pi))
-        if not part or set(part) - set("0123456789.+-*/()e "):
-            raise DomainError(f"cannot parse number {part!r}")
-        try:
-            values.append(float(eval(part, {"__builtins__": {}}, {})))
-        except Exception:
-            raise DomainError(f"cannot parse number {part!r}") from None
-    return values
+
+def _parse_float(text: str) -> float:
+    value, op, sign, want_factor = 1.0, "*", 1.0, True
+    for m in _TOKENS.finditer(text):
+        tok = m.group()
+        if want_factor and tok in ("+", "-"):
+            sign = -sign if tok == "-" else sign
+        elif want_factor and m.lastgroup != "op":
+            x = sign * (math.pi if tok == "pi" else float(tok))
+            if op == "/" and x == 0:
+                break
+            value = value * x if op == "*" else value / x
+            sign, want_factor = 1.0, False
+        elif not want_factor and tok in ("*", "/"):
+            op, want_factor = tok, True
+        else:
+            break
+    else:
+        if not want_factor and math.isfinite(value):
+            return value
+    raise DomainError(f"cannot parse number {text.strip()!r}")
+
+
+def _parse_floats(text: str) -> list[float]:
+    return [_parse_float(part) for part in text.split(",")]
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -146,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=int(os.environ.get("ANYONWALK_THREADS", "1")),
+            default=os.environ.get("ANYONWALK_THREADS", "1"),
             help="worker cap for sweeps (env ANYONWALK_THREADS)",
         )
 
@@ -171,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     sus.add_argument("--k", required=True, help="comma list or a..b of levels")
     sus.add_argument("--t", type=int, default=10)
     sus.add_argument("--coin", choices=("H", "U"), default="H")
-    sus.add_argument("--emit-distances", action="store_true", help="accepted for compatibility")
     common(sus)
     sug = susub.add_parser("generators", help="dump braid matrices as CSV triplets")
     sug.add_argument("--k", type=int, required=True)
@@ -253,11 +269,9 @@ def _run_su2k(args) -> ResultEnvelope:
     space = enumerate_fusion_basis(build_su2k(args.k), args.n)
     rows = []
     for i in range(1, args.n):
-        mat = braid_generator(space, i)
-        coo = (np.asarray(mat) if isinstance(mat, np.ndarray) else mat.toarray())
-        for r, c in zip(*np.nonzero(coo)):
-            v = coo[r, c]
-            rows.append((i, int(r), int(c), float(v.real), float(v.imag)))
+        coo = braid_generator(space, i).tocoo()
+        for r, c, v in sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())):
+            rows.append((i, r, c, v.real, v.imag))
     return _tabular(
         "braid-generators",
         ["i", "row", "col", "re", "im"],
@@ -342,8 +356,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     if args.to:
-        with open(args.to, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.to, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.to}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):

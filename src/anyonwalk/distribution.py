@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 COINS: dict[str, np.ndarray] = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
@@ -52,7 +52,7 @@ class Distribution:
             raise DomainError(f"negative probability {self.probs.min()} beyond tolerance")
         total = float(self.probs.sum())
         if abs(total - 1.0) > 1e-9:
-            raise DomainError(f"probabilities sum to {total}, drift beyond 1e-9")
+            raise NumericError(f"probabilities sum to {total}, drift beyond 1e-9")
 
     def moment(self, m: int) -> float:
         return float(np.sum(np.asarray(self.positions, dtype=float) ** m * self.probs))

@@ -11,8 +11,9 @@ Braid generators are built through the loop-weight path representation of
 the diagram algebra: e_i acts at charge slot i, couples paths only where the
 neighboring slots agree, and carries weight sqrt(w(c) w(c')) / w(c_left),
 with w the loop weight of a label.  The braid matrix is then
-A * identity + A^-1 * e_i, which makes dense evolution and bracket
-evaluation agree exactly, not merely up to phase.
+A * identity + A^-1 * e_i, a sparse CSR matrix with at most two entries per
+column, which makes dense evolution and bracket evaluation agree exactly,
+not merely up to phase.
 
 For the level-2 model the same representation has a qubit form built from
 three fixed 2x2 / 4x4 blocks; it is provided for cross-checking.
@@ -29,8 +30,32 @@ import scipy.sparse as sp
 from .errors import DomainError
 from .models import AnyonModel
 
-#: below this dimension generator matrices are kept dense
-DENSE_DIM_LIMIT = 64
+#: refuse dense walk states (2 coin states x (n+2) sites x dim) above this many
+#: amplitudes.  Every level has dim >= 2^(n/2-1), so this caps n at 42 and the
+#: n-bit path keys always fit in 64 bits.
+DENSE_STATE_BUDGET = 2**27
+
+
+def check_state_budget(n: int, dim: int) -> None:
+    """Refuse an n-anyon walk whose internal space has dimension ``dim``."""
+    if 2 * (n + 2) * dim > DENSE_STATE_BUDGET:
+        raise DomainError(
+            f"dense state of {2 * (n + 2) * dim} amplitudes (n={n}, dim={dim}) exceeds "
+            f"the memory budget of {DENSE_STATE_BUDGET}"
+        )
+
+
+def _path_keys(charges: np.ndarray) -> np.ndarray:
+    """Step bitmask of each extended path (vacuum, c_1, ..., c_{n-1}, vacuum),
+    first step in the most significant bit, 1 for a step up.
+
+    The walker changes the charge by +-1 at every step, so the key fixes the
+    path and numeric key order is lexicographic path order.
+    """
+    keys = np.ones(charges.shape[0], dtype=np.uint64)  # the first step is always up
+    for prev, cur in zip(charges.T[:-1], charges.T[1:]):
+        keys = (keys << np.uint64(1)) | (cur > prev)
+    return keys << np.uint64(1)  # the last step is always down
 
 
 @dataclass(eq=False)
@@ -40,13 +65,11 @@ class FusionSpace:
     model: AnyonModel
     n: int
     charges: np.ndarray  # (dim, n-1) intermediate charges c_1..c_{n-1}
-    _index: dict[bytes, int] = field(default_factory=dict, repr=False)
-    _tl_cache: dict[int, object] = field(default_factory=dict, repr=False)
-    _braid_cache: dict[int, object] = field(default_factory=dict, repr=False)
+    keys: np.ndarray = field(init=False, repr=False)  # sorted path keys, one per row
+    _braid_cache: dict[int, sp.csr_matrix] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if not self._index:
-            self._index = {row.tobytes(): i for i, row in enumerate(self.charges)}
+        self.keys = _path_keys(self.charges)
 
     @property
     def dim(self) -> int:
@@ -57,29 +80,41 @@ class FusionSpace:
         """Outcome tuples (a_1, ..., a_{n-2}) in basis order."""
         return [tuple(int(q) for q in row[1:]) for row in self.charges]
 
+    def _find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row of each key and whether that row really carries the key."""
+        rows = np.minimum(np.searchsorted(self.keys, keys), self.dim - 1)
+        return rows, self.keys[rows] == keys
+
     def index(self, outcomes: tuple[int, ...]) -> int:
-        row = np.empty(self.n - 1, dtype=self.charges.dtype)
-        row[0] = self.model.sigma
-        row[1:] = outcomes
-        key = row.tobytes()
-        if key not in self._index:
-            raise DomainError(f"outcome tuple {outcomes} is not an admissible basis state")
-        return self._index[key]
+        """Basis row of an outcome tuple; DomainError unless it is admissible."""
+        row = np.array([self.model.sigma, *outcomes], dtype=np.int64)
+        if len(row) == self.n - 1 and np.all(np.abs(np.diff(row)) == 1):
+            at, found = self._find(_path_keys(row[None, :]))
+            if found[0]:
+                return int(at[0])
+        raise DomainError(f"outcome tuple {outcomes} is not an admissible basis state")
 
 
 def enumerate_fusion_basis(model: AnyonModel, n: int) -> FusionSpace:
-    """Enumerate all admissible charge paths, in lexicographic outcome order."""
+    """Enumerate all admissible charge paths, in lexicographic outcome order.
+
+    The paths are counted first, so a space over the dense state budget is
+    refused before any of it is listed.
+    """
     if n % 2 or n < 4:
         raise DomainError(f"anyon count must be even and >= 4, got {n}")
     sigma, vac = model.sigma, model.vacuum
     nlab = len(model.labels)
-    # reach[q][r]: can charge q fuse down to the vacuum in exactly r more steps?
-    reach = np.zeros((nlab, n + 1), dtype=bool)
-    reach[vac, 0] = True
+    # reach[q][r]: number of ways charge q fuses down to the vacuum in exactly r more steps
+    reach = np.zeros((nlab, n + 1), dtype=object)
+    reach[vac, 0] = 1
     step_to = [model.fusion_outcomes(q, sigma) for q in range(nlab)]
     for r in range(1, n + 1):
         for q in range(nlab):
-            reach[q, r] = any(reach[c, r - 1] for c in step_to[q])
+            reach[q, r] = sum(reach[c, r - 1] for c in step_to[q])
+    if not reach[sigma, n - 1]:
+        raise DomainError(f"no admissible fusion paths for {model.name} with n={n}")
+    check_state_budget(n, int(reach[sigma, n - 1]))
 
     paths: list[tuple[int, ...]] = []
     prefix = [0] * (n - 1)
@@ -95,10 +130,7 @@ def enumerate_fusion_basis(model: AnyonModel, n: int) -> FusionSpace:
                 prefix[slot] = c
                 extend(slot + 1, c)
 
-    if reach[sigma, n - 1]:
-        extend(1, sigma)
-    if not paths:
-        raise DomainError(f"no admissible fusion paths for {model.name} with n={n}")
+    extend(1, sigma)
     dtype = np.uint8 if nlab <= 255 else np.int32
     return FusionSpace(model=model, n=n, charges=np.array(paths, dtype=dtype))
 
@@ -114,68 +146,39 @@ def vacuum_pair_state(space: FusionSpace) -> np.ndarray:
     return vec
 
 
-def _as_matrix(rows, cols, vals, dim):
-    if dim < DENSE_DIM_LIMIT:
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[rows, cols] = vals
-        return mat
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
-
-
-def tl_generator(space: FusionSpace, i: int):
+def tl_generator(space: FusionSpace, i: int) -> sp.csr_matrix:
     """The diagram-algebra generator e_i on the fusion basis (Hermitian, e^2 = d e)."""
     if not 1 <= i <= space.n - 1:
         raise DomainError(f"generator index {i} outside [1, {space.n - 1}]")
-    if i in space._tl_cache:
-        return space._tl_cache[i]
-    model = space.model
     charges = space.charges
     dim, width = charges.shape
-    w = np.asarray(model.weights, dtype=float)
+    w = np.asarray(space.model.weights, dtype=float)
     # columns i-1, i, i+1 of the extended path (vacuum at both ends)
     left = charges[:, i - 2].astype(np.int64) if i >= 2 else np.zeros(dim, dtype=np.int64)
     mid = charges[:, i - 1].astype(np.int64)
     right = charges[:, i].astype(np.int64) if i <= width - 1 else np.zeros(dim, dtype=np.int64)
 
-    active = left == right  # strands i, i+1 can fuse to the vacuum
-    rows = np.nonzero(active)[0]
-    cols = rows.copy()
-    vals = (w[mid[active]] / w[left[active]]).astype(complex)
-
-    partner_mid = 2 * left - mid
-    valid = active & (partner_mid >= 0) & (partner_mid < len(model.labels))
-    if np.any(valid):
-        idx = np.nonzero(valid)[0]
-        modified = charges[idx].copy()
-        modified[:, i - 1] = partner_mid[idx].astype(charges.dtype)
-        partner_rows = np.fromiter(
-            (space._index.get(row.tobytes(), -1) for row in modified),
-            dtype=np.int64,
-            count=len(idx),
-        )
-        found = partner_rows >= 0
-        src = idx[found]
-        dst = partner_rows[found]
-        offvals = np.sqrt(w[mid[src]] * w[partner_mid[src]]) / w[left[src]]
-        rows = np.concatenate([rows, dst])
-        cols = np.concatenate([cols, src])
-        vals = np.concatenate([vals, offvals.astype(complex)])
-
-    mat = _as_matrix(rows, cols, vals, dim)
-    space._tl_cache[i] = mat
-    return mat
+    rows = np.nonzero(left == right)[0]  # strands i, i+1 can fuse to the vacuum
+    vals = w[mid[rows]] / w[left[rows]]
+    # the partner path swaps steps i and i+1 (up-down <-> down-up), so its key
+    # differs in two adjacent bits; partners outside the truncated space are absent
+    at, found = space._find(space.keys[rows] ^ np.uint64(3 << (space.n - 1 - i)))
+    src, dst = rows[found], at[found]
+    offvals = np.sqrt(w[mid[src]] * w[mid[dst]]) / w[left[src]]
+    return sp.csr_matrix(
+        (np.concatenate([vals, offvals]), (np.concatenate([rows, dst]), np.concatenate([rows, src]))),
+        shape=(dim, dim),
+        dtype=complex,
+    )
 
 
-def braid_generator(space: FusionSpace, i: int):
+def braid_generator(space: FusionSpace, i: int) -> sp.csr_matrix:
     """Unitary braid matrix b_i = A * identity + A^-1 * e_i."""
     if i in space._braid_cache:
         return space._braid_cache[i]
     a = space.model.A
     e = tl_generator(space, i)
-    if isinstance(e, np.ndarray):
-        mat = a * np.eye(space.dim, dtype=complex) + (1 / a) * e
-    else:
-        mat = (a * sp.identity(space.dim, dtype=complex, format="csr") + (1 / a) * e).tocsr()
+    mat = (a * sp.identity(space.dim, dtype=complex, format="csr") + (1 / a) * e).tocsr()
     space._braid_cache[i] = mat
     return mat
 

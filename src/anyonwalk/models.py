@@ -2,11 +2,10 @@
 
 Two families are supported.  ``build_su2k`` constructs the SU(2) level-k
 model whose walker label is the spin-1/2 particle; labels are indexed by
-twice their spin, so id 0 is the vacuum and id 1 is the walker.  The level-2
-model additionally carries the explicit recoupling (F) and exchange (R)
-matrices in the basis {1, psi}.  ``build_dsn`` constructs the parameter set
-of the transposition-class irrep of the symmetric-group quantum double,
-which is all the Markov-trace engine needs.
+twice their spin, so id 0 is the vacuum and id 1 is the walker.
+``build_dsn`` constructs the parameter set of the transposition-class irrep
+of the symmetric-group quantum double, which is all the Markov-trace engine
+needs.
 
 The bracket parameter A is kept exactly as a rational multiple of pi, so
 exact Laurent evaluation points and the identity d = -A^2 - A^-2 are
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -53,8 +52,6 @@ class AnyonModel:
     a_angle: Fraction  # A = exp(i * pi * a_angle)
     k: int | None = None
     weights: tuple[float, ...] = ()  # loop weight per label id
-    f_data: dict = field(default_factory=dict)
-    r_data: dict = field(default_factory=dict)
 
     @property
     def A(self) -> complex:
@@ -89,12 +86,6 @@ def build_su2k(k: int) -> AnyonModel:
     denom = math.sin(math.pi / (k + 2))
     weights = tuple(math.sin(math.pi * (q + 1) / (k + 2)) / denom for q in range(nlab))
     labels = tuple(AnyonLabel(q, _su2_label_name(q)) for q in range(nlab))
-    f_data: dict = {}
-    r_data: dict = {}
-    if k == 2:
-        # recoupling of three walkers to total charge sigma, channels ordered (1, psi)
-        f_data[(1, 1, 1, 1)] = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-        r_data[(1, 1)] = {0: 1.0 + 0j, 2: 1j}
     return AnyonModel(
         name=f"su2k:{k}",
         labels=labels,
@@ -103,55 +94,7 @@ def build_su2k(k: int) -> AnyonModel:
         a_angle=a_angle,
         k=k,
         weights=weights,
-        f_data=f_data,
-        r_data=r_data,
     )
-
-
-def _check_labels(model: AnyonModel, *ids: int) -> None:
-    for a in ids:
-        if not 0 <= a < len(model.labels):
-            raise DomainError(f"label id {a} outside model {model.name}")
-
-
-def f_matrix(model: AnyonModel, a: int, b: int, c: int, d: int) -> np.ndarray:
-    """Change-of-basis matrix between the two fusion orders of (a, b, c) -> d.
-
-    Only the level-2 model carries explicit data; the matrix is returned over
-    the admissible intermediate channels, ordered by label id.
-    """
-    if model.k != 2:
-        raise DomainError(
-            "explicit recoupling matrices are only tabulated for su2k:2; "
-            "general levels are handled by the path representation"
-        )
-    _check_labels(model, a, b, c, d)
-    channels = [
-        x
-        for x in range(len(model.labels))
-        if model.fusion[a, b, x] and model.fusion[x, c, d]
-    ]
-    if not channels:
-        raise DomainError(f"labels ({a},{b},{c};{d}) admit no fusion channel")
-    explicit = model.f_data.get((a, b, c, d))
-    if explicit is not None:
-        return explicit.copy()
-    return np.eye(len(channels), dtype=complex)
-
-
-def r_phase(model: AnyonModel, a: int, b: int, c: int) -> complex:
-    """Exchange eigenvalue of a and b in fusion channel c."""
-    if model.k != 2:
-        raise DomainError("explicit exchange phases are only tabulated for su2k:2")
-    _check_labels(model, a, b, c)
-    if not model.fusion[a, b, c]:
-        raise DomainError(f"{c} is not a fusion channel of {a} x {b}")
-    if a == 0 or b == 0:
-        return 1.0 + 0j
-    table = model.r_data.get((a, b))
-    if table is None or c not in table:
-        raise DomainError(f"exchange phase for labels ({a},{b}) not tabulated")
-    return table[c]
 
 
 @dataclass(frozen=True)
@@ -167,18 +110,6 @@ class DoubleIrrepParams:
     @property
     def dim(self) -> int:
         return self.N * (self.N - 1) // 2
-
-    @property
-    def gchar(self) -> int:
-        return 1
-
-    @property
-    def z(self) -> Fraction:
-        return Fraction(self.gchar, self.dim)
-
-    @property
-    def zbar(self) -> Fraction:
-        return Fraction(self.gchar, self.dim)
 
 
 def build_dsn(N: int) -> DoubleIrrepParams:

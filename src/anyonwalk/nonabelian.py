@@ -28,12 +28,15 @@ import numpy as np
 
 from .distribution import Distribution, coin_matrix
 from .errors import BoundaryError, DomainError
-from .fusion import braid_generator, enumerate_fusion_basis, su22_qubit_generator, vacuum_pair_state
+from .fusion import (
+    braid_generator,
+    check_state_budget,
+    enumerate_fusion_basis,
+    su22_qubit_generator,
+    vacuum_pair_state,
+)
 from .models import AnyonModel
 from .tl import BraidWord, anyon_trace
-
-#: refuse dense states above this size (complex entries)
-DENSE_STATE_BUDGET = 2**27
 
 #: path-pair summation is quadratic in the 2^t paths
 PATHSUM_MAX_T = 12
@@ -197,6 +200,7 @@ def _qubit_rep(model: AnyonModel, n: int):
     if model.k != 2:
         raise DomainError("the qubit representation only exists for su2k:2")
     dim = 2 ** (n // 2 - 1)
+    check_state_budget(n, dim)
     alpha = np.zeros(dim, dtype=complex)
     alpha[0] = 1.0
     cache: dict[int, np.ndarray] = {}
@@ -228,11 +232,6 @@ def distribution_dense(
         dim, alpha, gen = _qubit_rep(model, n)
     else:
         raise DomainError(f"unknown representation {representation!r}")
-    if (n + 2) * 2 * dim > DENSE_STATE_BUDGET:
-        raise DomainError(
-            f"dense state of {(n + 2) * 2 * dim} amplitudes exceeds the memory budget; "
-            "use the pathsum engine"
-        )
     c = coin_matrix(coin)
     psi = np.array([1, 0], dtype=complex) if psi is None else np.asarray(psi, dtype=complex)
 

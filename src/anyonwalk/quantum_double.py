@@ -28,7 +28,6 @@ classical binomial walk and factor(2)/d = (N^2 - 5N + 8)/(N(N - 1)).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,7 +36,7 @@ import numpy as np
 from .distribution import Distribution
 from .errors import DomainError, IrreducibleWordError
 from .models import build_dsn
-from .nonabelian import WalkGeometry, path_braid_word
+from .nonabelian import WalkGeometry, _loop_pairs, path_braid_word
 from .tl import BraidWord
 
 Runs = list[list[int]]  # [generator index, accumulated power]
@@ -180,28 +179,24 @@ def double_walk_distribution(N: int, t: int, coin: str = "U") -> Distribution:
     build_dsn(N)  # validates N
     geom = WalkGeometry.for_steps(t)
     geom.check_steps(t)
-    groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for path in itertools.product((0, 1), repeat=t):
-        groups.setdefault((sum(path), path[-1]), []).append(path)
     totals: dict[int, Fraction] = {geom.s0 + 2 * j - t: Fraction(0) for j in range(t + 1)}
     cache: dict[tuple[int, ...], Fraction] = {}
-    for (ones, _), group in groups.items():
-        endpoint = geom.s0 + 2 * ones - t
-        for i, a in enumerate(group):
+    for a, ap, diagonal in _loop_pairs(t):
+        endpoint = geom.s0 + 2 * sum(a) - t
+        if diagonal:
             totals[endpoint] += Fraction(1, 2**t)
-            word_a = path_braid_word(geom, a)
-            for ap in group[i + 1 :]:
-                word_p = path_braid_word(geom, ap)
-                key = (word_a * word_p.inverse()).free_reduce().letters
-                if key not in cache:
-                    try:
-                        cache[key] = markov_trace_word(N, BraidWord(geom.n, key)).value
-                    except IrreducibleWordError as err:
-                        raise IrreducibleWordError(
-                            f"t={t} walk produced an irreducible word for paths {a}/{ap}: {err}",
-                            word=err.word,
-                        ) from err
-                totals[endpoint] += 2 * _coin_pair_real(a, ap, coin, t) * cache[key]
+            continue
+        word = path_braid_word(geom, a) * path_braid_word(geom, ap).inverse()
+        key = word.free_reduce().letters
+        if key not in cache:
+            try:
+                cache[key] = markov_trace_word(N, BraidWord(geom.n, key)).value
+            except IrreducibleWordError as err:
+                raise IrreducibleWordError(
+                    f"t={t} walk produced an irreducible word for paths {a}/{ap}: {err}",
+                    word=err.word,
+                ) from err
+        totals[endpoint] += 2 * _coin_pair_real(a, ap, coin, t) * cache[key]
     positions = tuple(sorted(totals))
     exact = [totals[s] for s in positions]
     if sum(exact) != 1:

@@ -201,39 +201,8 @@ class BraidWord:
         return len(self.letters)
 
 
-class TLElement:
-    """A finite linear combination of planar diagrams on a common strand count.
-
-    Coefficients are LaurentPoly in exact mode or complex in numeric mode.
-    """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict[Matching, object]):
-        self.n = n
-        self.terms = {m: c for m, c in terms.items() if not _is_zero(c)}
-
-    def support(self):
-        return self.terms.keys()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TLElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        return f"TLElement(n={self.n}, {len(self.terms)} diagrams)"
-
-
 def _is_zero(c) -> bool:
     return c.is_zero() if isinstance(c, LaurentPoly) else c == 0
-
-
-def tl_compose(x: Matching, y: Matching) -> tuple[Matching, int]:
-    """Compose two diagrams (x stacked on y); alias for :func:`compose`."""
-    return compose(x, y)
 
 
 def _letter_terms(letter: int, n: int, at: complex | None):
@@ -283,9 +252,10 @@ def _catalan(n: int) -> int:
     return c
 
 
-def skein_expand(word: BraidWord) -> TLElement:
-    """Exact skein expansion of a braid word into the diagram algebra."""
-    return TLElement(word.n, _expand(word, None))
+def skein_expand(word: BraidWord) -> dict[Matching, LaurentPoly]:
+    """Exact skein expansion of a braid word into the diagram algebra: the
+    nonzero LaurentPoly coefficient of each planar diagram."""
+    return _expand(word, None)
 
 
 def _closed_sum(terms: dict[Matching, object], loop_fn, at: complex | None):

@@ -220,8 +220,8 @@ def test_acceptance_7_algebraic_invariant_suite():
         for n in (6, 10):
             space = enumerate_fusion_basis(model, n)
             eye = np.eye(space.dim)
-            bs = [np.asarray(braid_generator(space, i)) for i in range(1, n)]
-            es = [np.asarray(tl_generator(space, i)) for i in range(1, n)]
+            bs = [braid_generator(space, i).toarray() for i in range(1, n)]
+            es = [tl_generator(space, i).toarray() for i in range(1, n)]
             for b in bs:
                 worst_alg = max(worst_alg, float(np.max(np.abs(b @ b.conj().T - eye))))
             for i in range(n - 2):

@@ -1,9 +1,14 @@
 import json
+import math
+import time
 
 import numpy as np
 import pytest
 
-from anyonwalk.cli import build_parser, dispatch, main
+import anyonwalk.nonabelian as nonabelian
+from anyonwalk.cli import _parse_floats, build_parser, dispatch, main
+from anyonwalk.distribution import Distribution
+from anyonwalk.errors import DomainError, NumericError
 
 
 def run(argv):
@@ -119,3 +124,43 @@ def test_output_file(tmp_path):
 def test_noncentered_layout_warns(capsys):
     assert main(["su2k", "dist", "--k", "2", "--t", "2", "--n", "8"]) == 0
     assert "n = 2 mod 4" in capsys.readouterr().err
+
+
+def test_number_parser_accepts_only_signed_products():
+    assert _parse_floats("pi/2, -pi/4,3*pi/4,1e-3") == [math.pi / 2, -math.pi / 4, 3 * math.pi / 4, 1e-3]
+    for bad in ("2**2**5", "__import__", "()", "", "1/0", "2pi", "1e999"):
+        with pytest.raises(DomainError):
+            _parse_floats(bad)
+        assert main(["abelian", "variance", "--phi", bad, "--t", "5"]) == 2
+
+
+def test_oversized_fusion_space_refused_before_enumeration(capsys):
+    for argv in (["su2k", "dist", "--k", "3", "--t", "40"], ["su2k", "generators", "--k", "2", "--n", "200"]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 5.0
+    assert "memory budget" in capsys.readouterr().err
+
+
+def test_bad_thread_count_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("ANYONWALK_THREADS", "abc")
+    assert main(["su2k", "sweep", "--k", "2", "--t", "2"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_unwritable_output_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    assert main(["su2k", "dist", "--k", "2", "--t", "2", "--to", str(target)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_normalization_drift_is_a_numeric_failure(monkeypatch, capsys):
+    with pytest.raises(NumericError):
+        Distribution((0, 2), [0.5, 0.6])
+
+    def drifting(*args, **kwargs):
+        return Distribution((0,), [0.9])
+
+    monkeypatch.setattr(nonabelian, "walk_distribution", drifting)
+    assert main(["su2k", "dist", "--k", "2", "--t", "2"]) == 3
+    assert "numeric failure" in capsys.readouterr().err

@@ -100,7 +100,7 @@ def test_trace_is_cyclic_and_conjugation_invariant():
 def test_markov_move_soundness_on_canonical_words():
     # phi(w b_top^{+-1}) = z phi(w), with both sides in closed form
     for N in (5, 8):
-        z = build_dsn(N).z
+        z = Fraction(1, build_dsn(N).dim)
         w = [(2, 3), (5, -2), (1, 1)]
         base = markov_trace_word(N, w).value
         assert markov_trace_word(N, w + [(7, 1)]).value == z * base

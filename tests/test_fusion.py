@@ -1,6 +1,7 @@
+import math
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from anyonwalk.errors import DomainError
 from anyonwalk.fusion import (
@@ -12,10 +13,6 @@ from anyonwalk.fusion import (
 )
 from anyonwalk.models import build_su2k
 from anyonwalk.tl import BraidWord, plat_bracket
-
-
-def dense(mat):
-    return mat.toarray() if sp.issparse(mat) else np.asarray(mat)
 
 
 def catalan(n):
@@ -82,10 +79,58 @@ def test_vacuum_pair_state():
             assert vec[i] == 0.0
 
 
+def path_model_generator(space, i):
+    """e_i from the path-model formula, indexing paths with a dict of charge tuples."""
+    w = space.model.weights
+    paths = [(0, *map(int, row), 0) for row in space.charges]
+    index = {path: r for r, path in enumerate(paths)}
+    e = np.zeros((space.dim, space.dim), dtype=complex)
+    truncated = 0
+    for r, path in enumerate(paths):
+        left, mid, right = path[i - 1 : i + 2]
+        if left != right:
+            continue
+        e[r, r] = w[mid] / w[left]
+        partner_mid = 2 * left - mid
+        partner = path[:i] + (partner_mid,) + path[i + 1 :]
+        if partner in index:
+            e[index[partner], r] = math.sqrt(w[mid] * w[partner_mid]) / w[left]
+        elif partner_mid > space.model.k:
+            truncated += 1
+    return e, truncated
+
+
+@pytest.mark.parametrize("k,n", [(2, 8), (3, 10), (4, 12), (7, 12)])
+def test_generator_matches_path_model_oracle(k, n):
+    space = enumerate_fusion_basis(build_su2k(k), n)
+    truncated = 0
+    for i in range(1, n):
+        expected, cut = path_model_generator(space, i)
+        truncated += cut
+        assert np.array_equal(tl_generator(space, i).toarray(), expected)
+    # partners above the level are dropped below the saturation level k = n/2
+    assert (truncated > 0) == (k < n // 2)
+    for r, outcomes in enumerate(space.basis):
+        assert space.index(outcomes) == r
+    pairs = (0, 1) * (n // 2)
+    bad = [
+        (0, 1),  # wrong length
+        (0,) * (n - 2),  # the charge must change at every step
+        pairs[: n - 4] + (2, 3),  # ends where the last walker cannot fuse to the vacuum
+        (0, -1, 0, 1) + pairs[: n - 6],  # negative charge
+    ]
+    if k < n // 2:
+        bad.append(tuple(range(2, k + 2)) + tuple(range(k, 0, -1)) + pairs[: n - 2 - 2 * k])
+    for outcomes in bad:
+        assert len(outcomes) == 2 or len(outcomes) == n - 2
+        with pytest.raises(DomainError):
+            space.index(outcomes)
+
+
 def test_first_generator_projects_on_vacuum_channel():
     m = build_su2k(2)
     space = enumerate_fusion_basis(m, 4)
-    e1 = dense(tl_generator(space, 1))
+    e1 = tl_generator(space, 1).toarray()
     expected = np.zeros((2, 2))
     expected[space.index((0, 1)), space.index((0, 1))] = m.d
     assert np.allclose(e1, expected, atol=1e-12)
@@ -95,7 +140,7 @@ def test_first_generator_projects_on_vacuum_channel():
 def test_diagram_algebra_relations(k, n):
     m = build_su2k(k)
     space = enumerate_fusion_basis(m, n)
-    es = [dense(tl_generator(space, i)) for i in range(1, n)]
+    es = [tl_generator(space, i).toarray() for i in range(1, n)]
     for e in es:
         assert np.allclose(e, e.conj().T, atol=1e-12)
         assert np.allclose(e @ e, m.d * e, atol=1e-10)
@@ -111,14 +156,14 @@ def test_diagram_algebra_relations(k, n):
 
 def test_generator_trace_is_index_independent():
     space = enumerate_fusion_basis(build_su2k(3), 6)
-    traces = [np.trace(dense(tl_generator(space, i))).real for i in range(1, 6)]
+    traces = [np.trace(tl_generator(space, i).toarray()).real for i in range(1, 6)]
     assert np.allclose(traces, traces[0], atol=1e-10)
 
 
 @pytest.mark.parametrize("k,n", [(2, 6), (3, 8), (5, 10)])
 def test_braid_generators_unitary_and_yang_baxter(k, n):
     space = enumerate_fusion_basis(build_su2k(k), n)
-    bs = [dense(braid_generator(space, i)) for i in range(1, n)]
+    bs = [braid_generator(space, i).toarray() for i in range(1, n)]
     eye = np.eye(space.dim)
     for b in bs:
         assert np.allclose(b @ b.conj().T, eye, atol=1e-12)
@@ -142,7 +187,7 @@ def test_braid_generator_sparsity():
 def test_level_two_braid_spectrum():
     m = build_su2k(2)
     space = enumerate_fusion_basis(m, 4)
-    ev = np.linalg.eigvals(dense(braid_generator(space, 1)))
+    ev = np.linalg.eigvals(braid_generator(space, 1).toarray())
     expected = {m.A, -m.A**-3}
     for w in ev:
         assert min(abs(w - z) for z in expected) < 1e-12
@@ -189,7 +234,7 @@ def test_vacuum_sandwich_equals_plat_bracket(k, n):
     m = build_su2k(k)
     space = enumerate_fusion_basis(m, n)
     alpha = vacuum_pair_state(space)
-    gens = {i: dense(braid_generator(space, i)) for i in range(1, n)}
+    gens = {i: braid_generator(space, i).toarray() for i in range(1, n)}
     rng = np.random.default_rng(17)
     for _ in range(6):
         letters = tuple(

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -8,9 +6,7 @@ from anyonwalk.models import (
     DoubleIrrepParams,
     build_dsn,
     build_su2k,
-    f_matrix,
     parse_model_spec,
-    r_phase,
 )
 
 
@@ -62,40 +58,9 @@ def test_dimension_increases_and_saturates():
     assert abs(ds[2] - 2.0) < 1e-3
 
 
-def test_recoupling_matrix():
-    m = build_su2k(2)
-    f = f_matrix(m, 1, 1, 1, 1)
-    expected = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    assert np.allclose(f, expected)
-    assert np.allclose(f @ f.conj().T, np.eye(2), atol=1e-12)  # unitary
-    assert np.allclose(f @ f, np.eye(2), atol=1e-12)  # involutive
-    # a vacuum leg makes the recoupling trivial
-    assert np.allclose(f_matrix(m, 0, 1, 1, 0), np.eye(1))
-
-
-def test_recoupling_errors():
-    with pytest.raises(DomainError):
-        f_matrix(build_su2k(3), 1, 1, 1, 1)
-    with pytest.raises(DomainError):
-        f_matrix(build_su2k(2), 1, 1, 1, 0)  # three walkers cannot fuse to vacuum
-
-
-def test_exchange_phases():
-    m = build_su2k(2)
-    assert r_phase(m, 1, 1, 0) == 1
-    assert r_phase(m, 1, 1, 2) == 1j
-    for c in (0, 2):
-        assert abs(abs(r_phase(m, 1, 1, c)) - 1.0) < 1e-15
-    with pytest.raises(DomainError):
-        r_phase(m, 1, 1, 1)  # sigma x sigma has no sigma channel
-
-
 def test_double_irrep_params():
-    from fractions import Fraction
-
     p = build_dsn(5)
     assert p.dim == 10
-    assert p.z == p.zbar == Fraction(1, 10)
     assert build_dsn(9).dim == 36
     with pytest.raises(DomainError):
         DoubleIrrepParams(4)

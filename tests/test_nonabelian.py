@@ -144,6 +144,13 @@ def test_qubit_and_path_representations_agree():
         assert np.max(np.abs(fusion.probs - qubit.probs)) < 1e-10
 
 
+def test_dense_state_budget_applies_to_both_representations():
+    geom = WalkGeometry(60, 31)
+    for representation in ("fusion", "qubit"):
+        with pytest.raises(DomainError, match="memory budget"):
+            distribution_dense(build_su2k(2), geom, 2, representation=representation)
+
+
 def test_qubit_representation_requires_level_two():
     with pytest.raises(DomainError):
         distribution_dense(build_su2k(3), None, 2, representation="qubit")

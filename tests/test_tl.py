@@ -80,16 +80,14 @@ def test_braid_word_algebra():
 
 
 def test_skein_single_letter():
-    el = skein_expand(BraidWord(2, (1,)))
-    assert el.terms == {
+    assert skein_expand(BraidWord(2, (1,))) == {
         identity_diagram(2): LaurentPoly.monomial(1),
         cup_cap_diagram(2, 1): LaurentPoly.monomial(-1),
     }
 
 
 def test_skein_double_letter():
-    el = skein_expand(BraidWord(2, (1, 1)))
-    assert el.terms == {
+    assert skein_expand(BraidWord(2, (1, 1))) == {
         identity_diagram(2): LaurentPoly({2: 1}),
         cup_cap_diagram(2, 1): LaurentPoly({0: 1, -4: -1}),
     }
@@ -99,8 +97,7 @@ def test_skein_word_times_inverse_is_identity():
     rng = np.random.default_rng(11)
     for _ in range(10):
         w = random_word(rng, 5, 6)
-        el = skein_expand(w * w.inverse())
-        assert el.terms == {identity_diagram(5): LaurentPoly.one()}
+        assert skein_expand(w * w.inverse()) == {identity_diagram(5): LaurentPoly.one()}
 
 
 def test_plat_values():
