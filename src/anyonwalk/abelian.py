@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .distribution import Distribution
+from .distribution import Distribution, baseline_quantum
 from .errors import DomainError, NumericError
 
 _C2 = np.array([[1, 1j], [1j, 1]], dtype=complex) / math.sqrt(2)
@@ -245,21 +245,6 @@ def two_state_coefficients(
     return c1, c2
 
 
-def simulate_two_state_variance(coin: np.ndarray, psi: np.ndarray, t: int) -> float:
-    """Variance of a plain two-state coined walk after t steps (coin 0 moves up)."""
-    state = np.zeros((2 * t + 1, 2), dtype=complex)
-    state[t] = psi
-    for _ in range(t):
-        tossed = state @ coin.T
-        new = np.zeros_like(state)
-        new[1:, 0] = tossed[:-1, 0]
-        new[:-1, 1] = tossed[1:, 1]
-        state = new
-    probs = np.sum(np.abs(state) ** 2, axis=1)
-    s = np.arange(-t, t + 1, dtype=float)
-    return float(probs @ s**2 - (probs @ s) ** 2)
-
-
 def product_walk_variance(phi: float, t: int, initial_spin: np.ndarray | None = None) -> float:
     """Variance of the two-state walk the four-state walk factorizes into
     when the exchange phase is a multiple of pi/2."""
@@ -274,7 +259,8 @@ def product_walk_variance(phi: float, t: int, initial_spin: np.ndarray | None = 
         raise DomainError("initial spin is not a product state across the two coins")
     psi_x = u[:, 0] * np.sign(s[0])
     coin_x = _C2 if quarter % 2 == 0 else np.diag([1.0, -1.0]) @ _C2
-    return simulate_two_state_variance(coin_x, psi_x, t)
+    # the baseline moves coin 0 the other way; the variance is reflection invariant
+    return baseline_quantum(t, coin_x, psi_x).variance()
 
 
 def variance_surface(
@@ -288,6 +274,8 @@ def variance_surface(
     t_grid = sorted(set(int(t) for t in t_grid))
     if not phi_grid or not t_grid:
         raise DomainError("phi and t grids must be nonempty")
+    if t_grid[0] < 1:
+        raise DomainError(f"step counts must be >= 1, got {t_grid[0]}")
     rows: list[tuple[int, float, float, float | None]] = []
     for phi in phi_grid:
         coeff = asymptotic_variance_coefficient(phi, initial_spin) if analytic else None

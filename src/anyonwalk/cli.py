@@ -134,16 +134,34 @@ def _parse_floats(text: str) -> list[float]:
     return [_parse_float(part) for part in text.split(",")]
 
 
+#: most integers one comma list may expand to; a wider a..b range is refused unbuilt
+MAX_INT_LIST = 10_000
+#: most CSV rows ``su2k generators`` may emit
+GENERATOR_ROW_CAP = 2**20
+_INT_ITEM = re.compile(r"\s*([+-]?[0-9]+)\s*(?:\.\.\s*([+-]?[0-9]+)\s*)?")
+
+
 def _parse_ints(text: str) -> list[int]:
     values: list[int] = []
     for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..")
-            values.extend(range(int(lo), int(hi) + 1))
-        else:
-            values.append(int(part))
+        m = _INT_ITEM.fullmatch(part)
+        if m is None:
+            raise DomainError(f"cannot parse integer or a..b range {part.strip()!r}")
+        lo = int(m[1])
+        hi = lo if m[2] is None else int(m[2])
+        if hi < lo:
+            raise DomainError(f"empty range {part.strip()!r}")
+        if len(values) + hi - lo + 1 > MAX_INT_LIST:
+            raise DomainError(f"integer list {text.strip()!r} exceeds {MAX_INT_LIST} values")
+        values.extend(range(lo, hi + 1))
     return values
+
+
+def _thread_count(text: str) -> int:
+    count = int(text)  # argparse turns a ValueError into a usage error
+    if count < 1:
+        raise ValueError(text)
+    return count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,12 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", choices=("csv", "json"), default="csv", help="output format")
         p.add_argument("--to", metavar="PATH", default=None, help="write to file instead of stdout")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=os.environ.get("ANYONWALK_THREADS", "1"),
-            help="worker cap for sweeps (env ANYONWALK_THREADS)",
-        )
 
     ab = sub.add_parser("abelian", help="four-state-coin walk")
     absub = ab.add_subparsers(dest="subcommand", required=True)
@@ -188,6 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
     sus.add_argument("--k", required=True, help="comma list or a..b of levels")
     sus.add_argument("--t", type=int, default=10)
     sus.add_argument("--coin", choices=("H", "U"), default="H")
+    sus.add_argument(
+        "--threads",
+        type=_thread_count,
+        default=os.environ.get("ANYONWALK_THREADS", "1"),
+        help="worker cap (env ANYONWALK_THREADS)",
+    )
     common(sus)
     sug = susub.add_parser("generators", help="dump braid matrices as CSV triplets")
     sug.add_argument("--k", type=int, required=True)
@@ -264,9 +282,17 @@ def _run_su2k(args) -> ResultEnvelope:
             {"tool_version": __version__, "t": args.t, "coin": args.coin},
         )
     # generators
-    from .fusion import braid_generator, enumerate_fusion_basis
+    from .fusion import braid_generator, enumerate_fusion_basis, fusion_dimension
 
-    space = enumerate_fusion_basis(build_su2k(args.k), args.n)
+    model = build_su2k(args.k)
+    dim = fusion_dimension(model, args.n)
+    # each of the n - 1 generators has at most two nonzeros per column
+    if (args.n - 1) * 2 * dim > GENERATOR_ROW_CAP:
+        raise DomainError(
+            f"up to {(args.n - 1) * 2 * dim} generator rows (n={args.n}, dim={dim}) "
+            f"exceed the cap of {GENERATOR_ROW_CAP}"
+        )
+    space = enumerate_fusion_basis(model, args.n)
     rows = []
     for i in range(1, args.n):
         coo = braid_generator(space, i).tocoo()

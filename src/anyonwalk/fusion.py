@@ -30,9 +30,10 @@ import scipy.sparse as sp
 from .errors import DomainError
 from .models import AnyonModel
 
-#: refuse dense walk states (2 coin states x (n+2) sites x dim) above this many
-#: amplitudes.  Every level has dim >= 2^(n/2-1), so this caps n at 42 and the
-#: n-bit path keys always fit in 64 bits.
+#: refuse n-anyon spaces with 2 x (n+2) x dim above this many amplitudes.  The
+#: dense walk state holds 2 x (t+1) x dim, and a boundary-free walk has
+#: t+1 <= n/2, so the bound is conservative.  Every level has dim >= 2^(n/2-1),
+#: so it caps n at 42 and the n-bit path keys always fit in 64 bits.
 DENSE_STATE_BUDGET = 2**27
 
 
@@ -95,25 +96,36 @@ class FusionSpace:
         raise DomainError(f"outcome tuple {outcomes} is not an admissible basis state")
 
 
+def _reach_table(model: AnyonModel, n: int) -> tuple[np.ndarray, list[list[int]]]:
+    """reach[q][r], the number of ways charge q fuses down to the vacuum in
+    exactly r more steps, and the charges one step from each charge."""
+    if n % 2 or n < 4:
+        raise DomainError(f"anyon count must be even and >= 4, got {n}")
+    nlab = len(model.labels)
+    reach = np.zeros((nlab, n + 1), dtype=object)
+    reach[model.vacuum, 0] = 1
+    step_to = [model.fusion_outcomes(q, model.sigma) for q in range(nlab)]
+    for r in range(1, n + 1):
+        for q in range(nlab):
+            reach[q, r] = sum(reach[c, r - 1] for c in step_to[q])
+    if not reach[model.sigma, n - 1]:
+        raise DomainError(f"no admissible fusion paths for {model.name} with n={n}")
+    return reach, step_to
+
+
+def fusion_dimension(model: AnyonModel, n: int) -> int:
+    """Number of admissible charge paths, counted without listing them."""
+    return int(_reach_table(model, n)[0][model.sigma, n - 1])
+
+
 def enumerate_fusion_basis(model: AnyonModel, n: int) -> FusionSpace:
     """Enumerate all admissible charge paths, in lexicographic outcome order.
 
     The paths are counted first, so a space over the dense state budget is
     refused before any of it is listed.
     """
-    if n % 2 or n < 4:
-        raise DomainError(f"anyon count must be even and >= 4, got {n}")
-    sigma, vac = model.sigma, model.vacuum
-    nlab = len(model.labels)
-    # reach[q][r]: number of ways charge q fuses down to the vacuum in exactly r more steps
-    reach = np.zeros((nlab, n + 1), dtype=object)
-    reach[vac, 0] = 1
-    step_to = [model.fusion_outcomes(q, sigma) for q in range(nlab)]
-    for r in range(1, n + 1):
-        for q in range(nlab):
-            reach[q, r] = sum(reach[c, r - 1] for c in step_to[q])
-    if not reach[sigma, n - 1]:
-        raise DomainError(f"no admissible fusion paths for {model.name} with n={n}")
+    reach, step_to = _reach_table(model, n)
+    sigma = model.sigma
     check_state_budget(n, int(reach[sigma, n - 1]))
 
     paths: list[tuple[int, ...]] = []
@@ -131,7 +143,7 @@ def enumerate_fusion_basis(model: AnyonModel, n: int) -> FusionSpace:
                 extend(slot + 1, c)
 
     extend(1, sigma)
-    dtype = np.uint8 if nlab <= 255 else np.int32
+    dtype = np.uint8 if len(model.labels) <= 255 else np.int32
     return FusionSpace(model=model, n=n, charges=np.array(paths, dtype=dtype))
 
 

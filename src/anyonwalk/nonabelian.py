@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import Distribution, coin_matrix
-from .errors import BoundaryError, DomainError
+from .errors import BoundaryError, DomainError, NumericError
 from .fusion import (
     braid_generator,
     check_state_budget,
@@ -153,7 +153,6 @@ def distribution_pathsum(
     geom.check_steps(t)
     contrib: dict[int, list[float]] = {geom.s0 + 2 * j - t: [] for j in range(t + 1)}
     trace_cache: dict[tuple[int, ...], complex] = {}
-    imag_residue = 0.0
     for a, ap, diagonal in _loop_pairs(t):
         weight = coin_trace(a, ap, coin, psi)
         if weight == 0:
@@ -162,20 +161,21 @@ def distribution_pathsum(
         if diagonal:
             # the combined word reduces freely to the identity; its trace is 1
             contrib[endpoint].append(weight.real)
-            imag_residue = max(imag_residue, abs(weight.imag))
             continue
         word = path_braid_word(geom, a)
         word_p = path_braid_word(geom, ap)
         key = (word * word_p.inverse()).free_reduce().letters
         if key not in trace_cache:
-            trace_cache[key] = anyon_trace(model, geom.n, word, word_p)
+            trace = anyon_trace(model, geom.n, word, word_p)
+            # an overlap of two unit vectors
+            if abs(trace) > 1 + 1e-9:
+                raise NumericError(f"pair trace {trace} of word {key} exceeds 1 in modulus")
+            trace_cache[key] = trace
         # adding the swapped pair conjugates the term, leaving twice the real part
         term = weight * trace_cache[key]
         contrib[endpoint].append(2.0 * term.real)
     positions = tuple(sorted(contrib))
     probs = np.array([float(np.sum(contrib[s])) if contrib[s] else 0.0 for s in positions])
-    if imag_residue > 1e-9:
-        raise DomainError(f"imaginary residue {imag_residue} beyond tolerance after symmetrization")
     return Distribution(
         positions,
         probs,
@@ -220,9 +220,12 @@ def distribution_dense(
     coin: str | np.ndarray = "H",
     psi: np.ndarray | None = None,
     representation: str = "fusion",
-    trivial_braiding: bool = False,
 ) -> Distribution:
-    """Walker distribution by dense evolution of coin x position x fusion state."""
+    """Walker distribution by dense evolution of coin x position x fusion state.
+
+    Only the reachable sites are stored: after r steps, block j of the state
+    is the (2, dim) coin x fusion amplitude at site s0 - r + 2j.
+    """
     geom = WalkGeometry.for_steps(t) if geom is None else geom
     geom.check_steps(t)
     n, s0 = geom.n, geom.s0
@@ -235,30 +238,21 @@ def distribution_dense(
     c = coin_matrix(coin)
     psi = np.array([1, 0], dtype=complex) if psi is None else np.asarray(psi, dtype=complex)
 
-    state = np.zeros((n + 2, 2, dim), dtype=complex)  # site index 1..n used
-    state[s0] = psi[:, None] * alpha[None, :]
-    lo = hi = s0
-    for _ in range(t):
-        tossed = np.einsum("ij,sjd->sid", c, state[lo : hi + 1])
-        new = np.zeros_like(state)
-        for offset in range(hi - lo + 1):
-            s = lo + offset
-            left, right = tossed[offset, 0], tossed[offset, 1]
-            if trivial_braiding:
-                new[s - 1, 0] += left
-                new[s + 1, 1] += right
-            else:
-                new[s - 1, 0] += gen(s - 1) @ left
-                new[s + 1, 1] += gen(s) @ right
-        state = new
-        lo, hi = lo - 1, hi + 1
+    state = (psi[:, None] * alpha[None, :])[None]
+    for r in range(t):
+        tossed = np.einsum("ij,sjd->sid", c, state)
+        # site s = s0 - r + 2j sends coin 0 to new block j and coin 1 to block j + 1
+        state = np.zeros((r + 2, 2, dim), dtype=complex)
+        for j, s in enumerate(range(s0 - r, s0 + r + 1, 2)):
+            state[j, 0] = gen(s - 1) @ tossed[j, 0]
+            state[j + 1, 1] = gen(s) @ tossed[j, 1]
     positions = tuple(range(s0 - t, s0 + t + 1, 2))
-    probs = np.array([float(np.sum(np.abs(state[s]) ** 2)) for s in positions])
+    probs = np.array([float(np.sum(np.abs(block) ** 2)) for block in state])
     return Distribution(
         positions,
         probs,
         {
-            "engine": "dense" if not trivial_braiding else "dense-trivial",
+            "engine": "dense",
             "representation": representation,
             "model": model.name,
             "t": t,

@@ -134,8 +134,33 @@ def test_number_parser_accepts_only_signed_products():
         assert main(["abelian", "variance", "--phi", bad, "--t", "5"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["abelian", "variance", "--phi", "0", "--t", "a"],
+        ["abelian", "variance", "--phi", "0", "--t", "1.."],
+        ["su2k", "sweep", "--k", "1..2..3", "--t", "2"],
+        ["su2k", "sweep", "--k", "4..2", "--t", "2"],
+        ["abelian", "variance", "--phi", "0", "--t", "-3"],
+        ["abelian", "variance", "--phi", "0", "--t", "0,5"],
+        ["abelian", "variance", "--phi", "0", "--t", "1..100000000000"],
+        ["abelian", "variance", "--phi", "0", "--t", ",".join(["1..9000"] * 2)],
+    ],
+)
+def test_bad_integer_list_is_a_precondition_failure(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_oversized_fusion_space_refused_before_enumeration(capsys):
-    for argv in (["su2k", "dist", "--k", "3", "--t", "40"], ["su2k", "generators", "--k", "2", "--n", "200"]):
+    for argv in (
+        ["su2k", "dist", "--k", "3", "--t", "40"],
+        ["su2k", "generators", "--k", "2", "--n", "200"],
+        ["su2k", "generators", "--k", "2", "--n", "42"],
+    ):
         start = time.perf_counter()
         assert main(argv) == 2
         assert time.perf_counter() - start < 5.0
@@ -143,9 +168,15 @@ def test_oversized_fusion_space_refused_before_enumeration(capsys):
 
 
 def test_bad_thread_count_is_a_usage_error(monkeypatch, capsys):
+    for count in ("0", "-1"):
+        assert main(["su2k", "sweep", "--k", "2", "--t", "2", "--threads", count]) == 1
     monkeypatch.setenv("ANYONWALK_THREADS", "abc")
     assert main(["su2k", "sweep", "--k", "2", "--t", "2"]) == 1
     assert "Traceback" not in capsys.readouterr().err
+    # the variable only matters to the one subcommand that reads it
+    assert main(["baseline", "classical", "--t", "2"]) == 0
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["baseline", "classical", "--t", "2", "--threads", "2"])
 
 
 def test_unwritable_output_path(tmp_path, capsys):

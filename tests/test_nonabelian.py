@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import anyonwalk.nonabelian as nonabelian
 from anyonwalk.distribution import baseline_classical, baseline_quantum, distance
-from anyonwalk.errors import BoundaryError, DomainError
+from anyonwalk.errors import BoundaryError, DomainError, NumericError
+from anyonwalk.fusion import braid_generator
 from anyonwalk.models import build_su2k
 from anyonwalk.nonabelian import (
     WalkGeometry,
@@ -128,12 +131,44 @@ def test_support_and_positivity():
     assert np.all(dist.probs >= -1e-12)
 
 
-def test_trivial_braiding_reduces_to_standard_walk():
+def test_trivial_braiding_reduces_to_standard_walk(monkeypatch):
+    def identity(space, i):
+        return sp.identity(space.dim, dtype=complex, format="csr")
+
+    monkeypatch.setattr(nonabelian, "braid_generator", identity)
     model = build_su2k(5)
     for t, coin in ((3, "H"), (4, "U")):
-        dist = distribution_dense(model, None, t, coin=coin, trivial_braiding=True)
+        dist = distribution_dense(model, None, t, coin=coin)
         base = baseline_quantum(t, coin=coin)
         assert np.max(np.abs(dist.probs - base.probs)) < 1e-12
+
+
+def test_dense_walk_braids_only_reachable_sites(monkeypatch):
+    # after r steps r + 1 sites are occupied, each braiding once per coin state
+    products = []
+
+    class Counting:
+        def __init__(self, mat):
+            self.mat = mat
+
+        def __matmul__(self, vec):
+            products.append(1)
+            return self.mat @ vec
+
+    monkeypatch.setattr(
+        nonabelian, "braid_generator", lambda space, i: Counting(braid_generator(space, i))
+    )
+    model = build_su2k(3)
+    for t in (1, 2, 5, 8):
+        products.clear()
+        distribution_dense(model, None, t)
+        assert len(products) == t * (t + 1)
+
+
+def test_pathsum_refuses_trace_beyond_unit_modulus(monkeypatch):
+    monkeypatch.setattr(nonabelian, "anyon_trace", lambda *args: 1.5)
+    with pytest.raises(NumericError, match="exceeds 1"):
+        distribution_pathsum(build_su2k(3), None, 3)
 
 
 def test_qubit_and_path_representations_agree():
