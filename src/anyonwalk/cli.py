@@ -21,7 +21,6 @@ import argparse
 import io
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -157,16 +156,10 @@ def _parse_ints(text: str) -> list[int]:
     return values
 
 
-def _thread_count(text: str) -> int:
-    count = int(text)  # argparse turns a ValueError into a usage error
-    if count < 1:
-        raise ValueError(text)
-    return count
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)  # usage errors exit 1
 
 
@@ -200,12 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     sus.add_argument("--k", required=True, help="comma list or a..b of levels")
     sus.add_argument("--t", type=int, default=10)
     sus.add_argument("--coin", choices=("H", "U"), default="H")
-    sus.add_argument(
-        "--threads",
-        type=_thread_count,
-        default=os.environ.get("ANYONWALK_THREADS", "1"),
-        help="worker cap (env ANYONWALK_THREADS)",
-    )
     common(sus)
     sug = susub.add_parser("generators", help="dump braid matrices as CSV triplets")
     sug.add_argument("--k", type=int, required=True)
@@ -272,9 +259,7 @@ def _run_su2k(args) -> ResultEnvelope:
         )
         return _distribution_envelope(dist)
     if args.subcommand == "sweep":
-        rows = sweep_distances(
-            _parse_ints(args.k), t=args.t, coin=args.coin, threads=args.threads
-        )
+        rows = sweep_distances(_parse_ints(args.k), t=args.t, coin=args.coin)
         return _tabular(
             "distance-sweep",
             ["k", "d_q", "d_c"],

@@ -13,7 +13,9 @@ neighboring slots agree, and carries weight sqrt(w(c) w(c')) / w(c_left),
 with w the loop weight of a label.  The braid matrix is then
 A * identity + A^-1 * e_i, a sparse CSR matrix with at most two entries per
 column, which makes dense evolution and bracket evaluation agree exactly,
-not merely up to phase.
+not merely up to phase.  A walk needs only the paths it can reach from the
+vacuum-pair path (``reachable_fusion_space``); the full basis
+(``enumerate_fusion_basis``) serves generator dumps and oracles.
 
 For the level-2 model the same representation has a qubit form built from
 three fixed 2x2 / 4x4 blocks; it is provided for cross-checking.
@@ -30,10 +32,12 @@ import scipy.sparse as sp
 from .errors import DomainError
 from .models import AnyonModel
 
-#: refuse n-anyon spaces with 2 x (n+2) x dim above this many amplitudes.  The
-#: dense walk state holds 2 x (t+1) x dim, and a boundary-free walk has
-#: t+1 <= n/2, so the bound is conservative.  Every level has dim >= 2^(n/2-1),
-#: so it caps n at 42 and the n-bit path keys always fit in 64 bits.
+#: refuse n-anyon spaces with 2 x (n+2) x dim above this many amplitudes, dim
+#: the full space's dimension, which is counted without listing it.  The dense
+#: walk holds only 2 x (t+1) x its reachable paths (266 of 265721 at k=4,
+#: t=12), but no bound on that count is proven, so the budget stays on the
+#: full space, where it is checked before any work.  Every level has
+#: dim >= 2^(n/2-1), so it caps n at 42 and the n-bit path keys fit in 64 bits.
 DENSE_STATE_BUDGET = 2**27
 
 
@@ -113,6 +117,10 @@ def _reach_table(model: AnyonModel, n: int) -> tuple[np.ndarray, list[list[int]]
     return reach, step_to
 
 
+def _charge_dtype(model: AnyonModel) -> type:
+    return np.uint8 if len(model.labels) <= 255 else np.int32
+
+
 def fusion_dimension(model: AnyonModel, n: int) -> int:
     """Number of admissible charge paths, counted without listing them."""
     return int(_reach_table(model, n)[0][model.sigma, n - 1])
@@ -143,8 +151,43 @@ def enumerate_fusion_basis(model: AnyonModel, n: int) -> FusionSpace:
                 extend(slot + 1, c)
 
     extend(1, sigma)
-    dtype = np.uint8 if len(model.labels) <= 255 else np.int32
-    return FusionSpace(model=model, n=n, charges=np.array(paths, dtype=dtype))
+    return FusionSpace(model=model, n=n, charges=np.array(paths, dtype=_charge_dtype(model)))
+
+
+def reachable_fusion_space(model: AnyonModel, n: int, s0: int, t: int) -> FusionSpace:
+    """The paths a t-step walk from site s0 reaches from the vacuum-pair path.
+
+    A breadth-first pass over sites: site s braids only strands s-1 and s, and
+    e_i couples a path only to the one whose charge at slot i is
+    2 c_{i-1} - c_i, where c_{i-1} = c_{i+1} and that charge is a label.  Every
+    admissible partner of every path held at a site is kept, so generators on
+    this space act on the walk state exactly as on the full basis, which is
+    never listed.  The walk must stay within strands 1..n-1, and the caller
+    checks the state budget first, which also keeps the path keys in 64 bits.
+    """
+    top = len(model.labels) - 1
+    # the extended path c_0, ..., c_n, vacuum at both ends
+    start = np.array([[model.sigma if j % 2 else model.vacuum for j in range(n + 1)]])
+
+    def braided(paths: np.ndarray, i: int) -> np.ndarray:
+        left, mid, right = paths[:, i - 1], paths[:, i], paths[:, i + 1]
+        partner = 2 * left - mid
+        keep = (left == right) & (partner >= 0) & (partner <= top)
+        moved = paths[keep]
+        moved[:, i] = partner[keep]
+        return np.concatenate([paths, moved])
+
+    sites = {s0: start}
+    for _ in range(t):
+        arrivals: dict[int, list[np.ndarray]] = {}
+        for s, paths in sites.items():
+            arrivals.setdefault(s - 1, []).append(braided(paths, s - 1))
+            arrivals.setdefault(s + 1, []).append(braided(paths, s))
+        sites = {s: np.unique(np.concatenate(group), axis=0) for s, group in arrivals.items()}
+    # every site passes its paths on to both neighbors, so the last step holds
+    # every path met before; np.unique sorts them lexicographically, in key order
+    charges = np.unique(np.concatenate(list(sites.values())), axis=0)[:, 1:-1]
+    return FusionSpace(model=model, n=n, charges=charges.astype(_charge_dtype(model)))
 
 
 def vacuum_pair_state(space: FusionSpace) -> np.ndarray:

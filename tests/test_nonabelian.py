@@ -3,11 +3,18 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anyonwalk.nonabelian as nonabelian
 from anyonwalk.distribution import baseline_classical, baseline_quantum, distance
 from anyonwalk.errors import BoundaryError, DomainError, NumericError
-from anyonwalk.fusion import braid_generator
+from anyonwalk.fusion import (
+    braid_generator,
+    enumerate_fusion_basis,
+    fusion_dimension,
+    vacuum_pair_state,
+)
 from anyonwalk.models import build_su2k
 from anyonwalk.nonabelian import (
     WalkGeometry,
@@ -163,6 +170,77 @@ def test_dense_walk_braids_only_reachable_sites(monkeypatch):
         products.clear()
         distribution_dense(model, None, t)
         assert len(products) == t * (t + 1)
+
+
+def full_space_rep(model, n, s0, t):
+    # the dense engine's representation before the reachable-path pass: every
+    # admissible fusion path of n anyons, whatever the walk reaches
+    space = enumerate_fusion_basis(model, n)
+    return space.dim, space.dim, vacuum_pair_state(space), lambda i: braid_generator(space, i)
+
+
+def oracle_cases():
+    # (12, 6) and (16, 8) start the walker misaligned with its vacuum pair
+    for geom in (WalkGeometry(12, 6), WalkGeometry(14, 9), WalkGeometry(16, 8)):
+        reach = min(geom.s0 - 1, geom.n - 1 - geom.s0)
+        for t in range(1, reach + 1):
+            yield geom, t
+    yield WalkGeometry.for_steps(10), 10
+
+
+def test_reachable_paths_match_the_full_fusion_space(monkeypatch):
+    cases = list(oracle_cases())
+    for k in (2, 3, 5, 21):
+        model = build_su2k(k)
+        for coin in ("H", "U"):
+            reachable = [distribution_dense(model, geom, t, coin=coin) for geom, t in cases]
+            with monkeypatch.context() as patched:
+                patched.setattr(nonabelian, "_fusion_rep", full_space_rep)
+                full = [distribution_dense(model, geom, t, coin=coin) for geom, t in cases]
+            for got, want in zip(reachable, full):
+                assert got.positions == want.positions
+                assert np.max(np.abs(got.probs - want.probs)) <= 1e-13
+                assert got.meta["reachable_dim"] < want.meta["reachable_dim"]
+                assert got.meta["fusion_dim"] == want.meta["fusion_dim"]
+
+
+@pytest.mark.parametrize(
+    "k, t, n, reachable",
+    [(3, 12, None, 262), (4, 12, None, 266), (2, 10, None, 88)]
+    + [(k, 10, 22, 117) for k in (11, 12, 20, 30, 40, 60, 80)],
+)
+def test_dense_walk_reports_its_sizes(k, t, n, reachable):
+    model = build_su2k(k)
+    geom = WalkGeometry.for_steps(t, n)
+    for coin in ("H", "U"):
+        meta = distribution_dense(model, geom, t, coin=coin).meta
+        assert meta["reachable_dim"] == reachable
+        assert meta["fusion_dim"] == fusion_dimension(model, geom.n)
+        assert 0 <= meta["norm_drift"] < 1e-12
+
+
+def test_qubit_walk_reports_the_whole_space():
+    meta = distribution_dense(build_su2k(2), None, 4, representation="qubit").meta
+    assert meta["reachable_dim"] == meta["fusion_dim"] == 2 ** (10 // 2 - 1)
+
+
+@st.composite
+def walk_layouts(draw):
+    t = draw(st.integers(1, 5))
+    n = 2 * t + 2 + 2 * draw(st.integers(0, 2))
+    s0 = draw(st.integers(t + 1, n - 1 - t))
+    return WalkGeometry(n, s0), t
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(2, 40), layout=walk_layouts(), coin=st.sampled_from(["H", "U"]))
+def test_engines_agree_on_random_walks(k, layout, coin):
+    geom, t = layout
+    model = build_su2k(k)
+    dp = distribution_pathsum(model, geom, t, coin=coin)
+    dd = distribution_dense(model, geom, t, coin=coin)
+    assert dp.positions == dd.positions
+    assert np.max(np.abs(dp.probs - dd.probs)) <= 1e-10
 
 
 def test_pathsum_refuses_trace_beyond_unit_modulus(monkeypatch):
