@@ -1,4 +1,4 @@
-"""Single-coin anyonic walk: dense state evolution and loop-pair bracket sums.
+"""Single-coin anyonic walk: fusion-state and cup-diagram evolution engines.
 
 The walker is one of n identical anyons placed at sites 1..n, created in
 nearest-neighbor vacuum pairs (1,2)(3,4)...  Moving left from site p braids
@@ -12,13 +12,18 @@ Two engines compute P(s, t):
 * ``distribution_dense`` evolves the coin x position x fusion state on the
   reachable sites and on the fusion paths the walk can reach, a few hundred
   paths at t=12 where the full space has up to 10^5.
-* ``distribution_pathsum`` sums over pairs of paths with common endpoint and
-  common final coin state; each pair contributes a coin amplitude product
-  times the overlap of the two braided vacuum-pair states, evaluated as a
-  plat-closure bracket.
+* ``distribution_pathsum`` evolves the same walk on planar cup diagrams: each
+  site and coin holds a map from diagrams to coefficients, a braid letter
+  acts by the skein relation b_i = A + A^-1 e_i, and P(s) is the plat-closure
+  pairing of the site's diagrams, a Kauffman bracket of the links the
+  world-lines trace (Kauffman, "State models and the Jones polynomial",
+  Topology 1987).  It counts loops only, with no fusion basis or path
+  weights, so it is an independent check on the dense engine.
 
 Both use the same loop-weight representation conventions, so they agree to
-numerical precision, not merely up to phase.
+numerical precision, not merely up to phase.  ``coin_trace`` and
+``tl.anyon_trace`` give the coin and braid factor of a single path pair; no
+engine calls them, they are kept as public oracles.
 """
 
 from __future__ import annotations
@@ -40,10 +45,17 @@ from .fusion import (
     vacuum_pair_state,
 )
 from .models import AnyonModel
-from .tl import BraidWord, anyon_trace
+from .tl import (
+    BraidWord,
+    Matching,
+    _catalan,
+    _cycle_count,
+    anyon_trace,  # noqa: F401  (perfbench's tracer wraps this name)
+)
 
-#: path-pair summation is quadratic in the 2^t paths
-PATHSUM_MAX_T = 12
+#: cup diagrams one site and coin may hold; a walk needs 68 at t=12, 128 at
+#: t=13 and 144 at t=14, and the pairing costs the square of it per site
+PATHSUM_MAX_SUPPORT = 128
 
 
 @dataclass(frozen=True)
@@ -110,7 +122,11 @@ def coin_trace(
     psi: np.ndarray | None = None,
 ) -> complex:
     """Coin-space weight of a path pair: c_a * conj(c_ap) if the final coin
-    states match, else 0."""
+    states match, else 0.
+
+    A public oracle: no engine calls it since ``distribution_pathsum``
+    evolves cup-diagram states instead of summing path pairs.
+    """
     if len(a) != len(ap):
         raise DomainError("paths must have equal length")
     if a and ap and a[-1] != ap[-1]:
@@ -129,7 +145,8 @@ def coin_trace(
 
 def _loop_pairs(t: int):
     """Yield (a, ap) path pairs with common endpoint and final coin state,
-    each unordered pair once with a marker for the diagonal."""
+    each unordered pair once with a marker for the diagonal (the D(S_N)
+    walk's pair sum)."""
     paths = sorted(itertools.product((0, 1), repeat=t))
     groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for path in paths:
@@ -141,6 +158,49 @@ def _loop_pairs(t: int):
                 yield a, ap, False
 
 
+def _cup_braid(
+    vec: dict[Matching, complex], i: int, A: complex, d: float
+) -> dict[Matching, complex]:
+    """b_i = A + A^-1 e_i on a vector of cup diagrams (strands i, i+1 are
+    points i-1, i).  e_i closes a loop on a diagram that already caps the
+    two points; otherwise it caps them and joins their former partners."""
+    p, q = i - 1, i
+    out: dict[Matching, complex] = {}
+    for diag, coeff in vec.items():
+        out[diag] = out.get(diag, 0j) + A * coeff
+        if diag[p] == q:
+            capped, weight = diag, d / A
+        else:
+            a, b = diag[p], diag[q]
+            match = list(diag)
+            match[p], match[q], match[a], match[b] = q, p, b, a
+            capped, weight = tuple(match), 1 / A
+        out[capped] = out.get(capped, 0j) + weight * coeff
+    return out
+
+
+def _gram_value(
+    vecs, n: int, d: float, loops: dict[tuple[Matching, Matching], int]
+) -> complex:
+    """Sum over the given cup-diagram vectors of x^dagger G x, where
+    G[D, E] = d^(loops(D u E) - n/2) is the normalized plat-closure pairing."""
+    diagrams = sorted(set().union(*vecs))
+    m = len(diagrams)
+    exps = np.zeros((m, m))
+    for a, da in enumerate(diagrams):
+        for b in range(a + 1, m):
+            key = (da, diagrams[b])
+            if key not in loops:
+                loops[key] = _cycle_count(*key) - n // 2
+            exps[a, b] = exps[b, a] = loops[key]
+    gram = d**exps
+    total = 0j
+    for vec in vecs:
+        x = np.array([vec.get(diag, 0j) for diag in diagrams])
+        total += np.vdot(x, gram @ x)
+    return total
+
+
 def distribution_pathsum(
     model: AnyonModel,
     geom: WalkGeometry | None,
@@ -148,38 +208,55 @@ def distribution_pathsum(
     coin: str | np.ndarray = "H",
     psi: np.ndarray | None = None,
 ) -> Distribution:
-    """Walker distribution as a sum over loop pairs weighted by brackets."""
-    if t > PATHSUM_MAX_T:
-        raise DomainError(
-            f"path-pair summation over 4^{t} pairs is impractical; use the dense engine"
-        )
+    """Walker distribution by evolving cup-diagram states (Kauffman bracket).
+
+    The state holds, for each reachable site and coin, a map from planar cup
+    diagrams on the n points to complex coefficients, starting from the
+    vacuum pairs (1,2)(3,4)... weighted by ``psi``.  Each step tosses the
+    coin and applies b_i = A + A^-1 e_i to each block.  P(s) is the sum over
+    the coin of x^dagger G x with G the plat-closure pairing of diagrams, so
+    the engine uses loop counts only: no fusion basis, path weights or
+    generator matrices.  A block holding more than ``PATHSUM_MAX_SUPPORT``
+    diagrams is refused as it grows.  The meta reports the largest
+    ``diagram_support`` against the ``catalan_bound`` on n points, and the
+    final ``norm_drift`` |1 - sum P|.
+    """
     geom = WalkGeometry.for_steps(t) if geom is None else geom
     geom.check_steps(t)
-    contrib: dict[int, list[float]] = {geom.s0 + 2 * j - t: [] for j in range(t + 1)}
-    trace_cache: dict[tuple[int, ...], complex] = {}
-    for a, ap, diagonal in _loop_pairs(t):
-        weight = coin_trace(a, ap, coin, psi)
-        if weight == 0:
-            continue
-        endpoint = geom.s0 + 2 * sum(a) - t
-        if diagonal:
-            # the combined word reduces freely to the identity; its trace is 1
-            contrib[endpoint].append(weight.real)
-            continue
-        word = path_braid_word(geom, a)
-        word_p = path_braid_word(geom, ap)
-        key = (word * word_p.inverse()).free_reduce().letters
-        if key not in trace_cache:
-            trace = anyon_trace(model, geom.n, word, word_p)
-            # an overlap of two unit vectors
-            if abs(trace) > 1 + 1e-9:
-                raise NumericError(f"pair trace {trace} of word {key} exceeds 1 in modulus")
-            trace_cache[key] = trace
-        # adding the swapped pair conjugates the term, leaving twice the real part
-        term = weight * trace_cache[key]
-        contrib[endpoint].append(2.0 * term.real)
-    positions = tuple(sorted(contrib))
-    probs = np.array([float(np.sum(contrib[s])) if contrib[s] else 0.0 for s in positions])
+    n, s0 = geom.n, geom.s0
+    A, d = model.A, model.d
+    c = coin_matrix(coin)
+    psi = np.array([1, 0], dtype=complex) if psi is None else np.asarray(psi, dtype=complex)
+
+    vacuum = tuple(p ^ 1 for p in range(n))  # cups (1,2)(3,4)... on points 0..n-1
+    # block j after r steps: (coin 0, coin 1) cup vectors at site s0 - r + 2j
+    state = [tuple({vacuum: complex(amp)} for amp in psi)]
+    support = 1
+    for r in range(t):
+        new = [[{}, {}] for _ in range(r + 2)]
+        for j, s in enumerate(range(s0 - r, s0 + r + 1, 2)):
+            x0, x1 = state[j]
+            for out, block, letter in ((0, j, s - 1), (1, j + 1, s)):
+                tossed = {D: c[out, 0] * x0.get(D, 0j) + c[out, 1] * x1.get(D, 0j)
+                          for D in x0.keys() | x1.keys()}
+                vec = _cup_braid(tossed, letter, A, d)
+                if len(vec) > PATHSUM_MAX_SUPPORT:
+                    raise DomainError(
+                        f"step {r + 1} of the walk holds {len(vec)} cup diagrams at one site, "
+                        f"over the budget of {PATHSUM_MAX_SUPPORT}; use the dense engine"
+                    )
+                support = max(support, len(vec))
+                new[block][out] = vec
+        state = new
+    positions = tuple(range(s0 - t, s0 + t + 1, 2))
+    loops: dict[tuple[Matching, Matching], int] = {}
+    probs = np.zeros(t + 1)
+    for j, (s, vecs) in enumerate(zip(positions, state)):
+        value = _gram_value(vecs, n, d, loops)
+        # a sum of squared norms: real and nonnegative
+        if abs(value.imag) > 1e-9 or value.real < -1e-9:
+            raise NumericError(f"cup-state norm {value} at site {s} is not a nonnegative real")
+        probs[j] = value.real
     return Distribution(
         positions,
         probs,
@@ -187,9 +264,12 @@ def distribution_pathsum(
             "engine": "pathsum",
             "model": model.name,
             "t": t,
-            "n": geom.n,
-            "s0": geom.s0,
+            "n": n,
+            "s0": s0,
             "coin": coin if isinstance(coin, str) else "custom",
+            "diagram_support": support,
+            "catalan_bound": _catalan(n // 2),
+            "norm_drift": abs(1.0 - float(probs.sum())),
         },
     )
 

@@ -315,7 +315,9 @@ def anyon_trace(model: AnyonModel, n: int, word: BraidWord, word_p: BraidWord) -
     """Overlap of two braided vacuum-pair states via the plat closure.
 
     Equals 1 whenever ``word_p`` followed by the inverse of ``word`` reduces
-    to the identity (no statistical effect).
+    to the identity (no statistical effect).  A public oracle for a single
+    path pair: the pathsum engine no longer calls it, as it pairs whole
+    cup-diagram states at once.
     """
     if n % 2:
         raise DomainError("vacuum-pair states need an even strand count")

@@ -66,7 +66,7 @@ def test_acceptance_1_small_step_closed_forms():
 def test_acceptance_2_cross_engine_oracle():
     start = time.time()
     worst = 0.0
-    for t in (1, 2, 3, 4, 5):
+    for t in range(1, 13):
         geom = WalkGeometry(2 * t + 2, t + 1)
         for k in (2, 3, 4, 5):
             model = build_su2k(k)

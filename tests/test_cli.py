@@ -167,6 +167,14 @@ def test_oversized_fusion_space_refused_before_enumeration(capsys):
     assert "memory budget" in capsys.readouterr().err
 
 
+def test_oversized_cup_state_refused_as_it_grows(capsys):
+    start = time.perf_counter()
+    assert main(["su2k", "dist", "--engine", "pathsum", "--k", "3", "--t", "40"]) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cup diagrams" in err and "Traceback" not in err
+
+
 def test_removed_thread_option_is_a_usage_error(monkeypatch, capsys):
     assert main(["su2k", "sweep", "--k", "2", "--threads", "2"]) == 1
     err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -226,27 +227,55 @@ def test_qubit_walk_reports_the_whole_space():
 
 @st.composite
 def walk_layouts(draw):
-    t = draw(st.integers(1, 5))
+    t = draw(st.integers(1, 8))
     n = 2 * t + 2 + 2 * draw(st.integers(0, 2))
     s0 = draw(st.integers(t + 1, n - 1 - t))
     return WalkGeometry(n, s0), t
 
 
+# a complex initial coin state tells the braid's handedness apart: with a
+# real one the walk of A^-1 matches the walk of A
+coin_states = st.builds(
+    lambda a, phase: np.array([np.cos(a), np.exp(1j * phase) * np.sin(a)]),
+    st.floats(0, np.pi / 2),
+    st.floats(0, 2 * np.pi),
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(k=st.integers(2, 40), layout=walk_layouts(), coin=st.sampled_from(["H", "U"]))
-def test_engines_agree_on_random_walks(k, layout, coin):
+@given(
+    k=st.integers(2, 40),
+    layout=walk_layouts(),
+    coin=st.sampled_from(["H", "U"]),
+    psi=coin_states,
+)
+def test_engines_agree_on_random_walks(k, layout, coin, psi):
     geom, t = layout
     model = build_su2k(k)
-    dp = distribution_pathsum(model, geom, t, coin=coin)
-    dd = distribution_dense(model, geom, t, coin=coin)
+    dp = distribution_pathsum(model, geom, t, coin=coin, psi=psi)
+    dd = distribution_dense(model, geom, t, coin=coin, psi=psi)
     assert dp.positions == dd.positions
     assert np.max(np.abs(dp.probs - dd.probs)) <= 1e-10
 
 
-def test_pathsum_refuses_trace_beyond_unit_modulus(monkeypatch):
-    monkeypatch.setattr(nonabelian, "anyon_trace", lambda *args: 1.5)
-    with pytest.raises(NumericError, match="exceeds 1"):
-        distribution_pathsum(build_su2k(3), None, 3)
+def test_pathsum_refuses_a_negative_site_norm(monkeypatch):
+    # Counting two loops too many between distinct diagrams breaks the
+    # positivity of the pairing: after one step site s0 - 1 holds the vacuum
+    # and e_{s0-1} of it, and its norm becomes (2 - d^2)/2 < 0 at k=3.
+    cycle_count = nonabelian._cycle_count
+    monkeypatch.setattr(nonabelian, "_cycle_count", lambda d, e: cycle_count(d, e) + 2)
+    with pytest.raises(NumericError, match="not a nonnegative real"):
+        distribution_pathsum(build_su2k(3), None, 1)
+
+
+def test_pathsum_reports_its_diagram_support():
+    for k in (2, 3, 21):
+        for coin in ("H", "U"):
+            meta = distribution_pathsum(build_su2k(k), None, 8, coin=coin).meta
+            assert meta["n"] == 18
+            assert meta["diagram_support"] == 16
+            assert meta["catalan_bound"] == 4862  # Catalan(9) cup diagrams on 18 points
+            assert 0 <= meta["norm_drift"] < 1e-12
 
 
 def test_qubit_and_path_representations_agree():
@@ -269,9 +298,13 @@ def test_qubit_representation_requires_level_two():
         distribution_dense(build_su2k(3), None, 2, representation="qubit")
 
 
-def test_pathsum_step_bound():
-    with pytest.raises(DomainError):
-        distribution_pathsum(build_su2k(2), None, 13)
+def test_pathsum_support_budget_refuses_long_walks():
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="cup diagrams"):
+        distribution_pathsum(build_su2k(3), None, 40)
+    assert time.perf_counter() - start < 5.0
+    meta = distribution_pathsum(build_su2k(3), None, 12).meta
+    assert meta["diagram_support"] == 68 <= nonabelian.PATHSUM_MAX_SUPPORT
 
 
 def test_large_level_approaches_standard_walk():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anyonwalk.errors import DomainError
 from anyonwalk.laurent import LOOP_VALUE, LaurentPoly
@@ -156,6 +158,21 @@ def test_state_sum_oracle():
         assert state_sum_bracket(w, "markov") == markov_bracket(w)
         if n % 2 == 0:
             assert state_sum_bracket(w, "plat") == plat_bracket(w)
+
+
+@st.composite
+def braid_words(draw):
+    n = draw(st.integers(4, 8))
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    return BraidWord(n, tuple(draw(st.lists(letter, max_size=10))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(word=braid_words())
+def test_brackets_equal_the_state_sum(word):
+    assert markov_bracket(word) == state_sum_bracket(word, "markov")
+    if word.n % 2 == 0:
+        assert plat_bracket(word) == state_sum_bracket(word, "plat")
 
 
 def test_anyon_trace_is_one_for_equal_words():
