@@ -16,7 +16,13 @@ S_j = (M_k^dag)^j Z_x M_k^j; the k-integral of these trigonometric
 polynomials is evaluated exactly by a uniform midpoint rule once the grid
 is finer than the polynomial degree 2mt.  The long-time linear and
 quadratic coefficients use the eigenbasis of M_k instead and drop the
-oscillatory cross terms.
+oscillatory cross terms: one batched eigendecomposition of the whole grid
+gives each eigenvector's weight in the initial spin and its velocity
+<Z_x>.  Grid points whose smallest eigenvalue gap is below 1e-8 have no
+well-defined eigenbasis; they are left out of the mean, with a warning.
+
+Every function taking an initial spin refuses one that is not a normalized
+4-vector.
 """
 
 from __future__ import annotations
@@ -26,16 +32,14 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .distribution import Distribution, baseline_quantum
 from .errors import DomainError, NumericError
 
 _C2 = np.array([[1, 1j], [1j, 1]], dtype=complex) / math.sqrt(2)
 COIN4 = np.kron(_C2, _C2)  # exp(i pi/4 (X_x + X_y))
-Z_X = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-P_RIGHT = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-P_LEFT = np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)
+_MOVES = np.array([1.0, 1.0, -1.0, -1.0])  # x-state 0 steps up, x-state 1 down
+Z_X = np.diag(_MOVES).astype(complex)
 
 DEFAULT_GRID = 1024
 
@@ -53,10 +57,17 @@ class AbelianConfig:
     initial_spin: np.ndarray = field(default_factory=default_spin)
 
     def __post_init__(self):
-        spin = np.asarray(self.initial_spin, dtype=complex)
-        if spin.shape != (4,) or abs(np.linalg.norm(spin) - 1.0) > 1e-12:
-            raise DomainError("initial spin must be a normalized 4-vector")
-        object.__setattr__(self, "initial_spin", spin)
+        object.__setattr__(self, "initial_spin", _initial_spin(self.initial_spin))
+
+
+def _initial_spin(spin: np.ndarray | None) -> np.ndarray:
+    """The default spin for None, else ``spin`` checked to be a normalized 4-vector."""
+    if spin is None:
+        return default_spin()
+    spin = np.asarray(spin, dtype=complex)
+    if spin.shape != (4,) or abs(np.linalg.norm(spin) - 1.0) > 1e-12:
+        raise DomainError("initial spin must be a normalized 4-vector")
+    return spin
 
 
 @dataclass
@@ -94,7 +105,7 @@ def abelian_step(state: SpinorField, phi: float) -> SpinorField:
 
 
 def simulate(phi: float, t: int, initial_spin: np.ndarray | None = None) -> SpinorField:
-    state = SpinorField.localized(default_spin() if initial_spin is None else initial_spin)
+    state = SpinorField.localized(_initial_spin(initial_spin))
     for _ in range(t):
         state = abelian_step(state, phi)
     return state
@@ -115,8 +126,7 @@ def simulate_distribution(
 
 def momentum_operator(phi: float, k: float) -> np.ndarray:
     """The one-step unitary at momentum k."""
-    shift = np.diag(np.exp(-1j * k * np.array([1.0, 1.0, -1.0, -1.0])))
-    return shift @ phase_operator(phi) @ COIN4
+    return _momentum_operators(phi, np.array([k]))[0]
 
 
 def eigenphase_pair(phi: float, k: float) -> tuple[float, float]:
@@ -129,17 +139,20 @@ def eigenphase_pair(phi: float, k: float) -> tuple[float, float]:
 
 
 def _k_grid(grid: int) -> np.ndarray:
+    if grid < 1:
+        raise DomainError(f"momentum grid needs at least 1 point, got {grid}")
     # midpoint rule: exact for trigonometric polynomials of degree < grid
     # and it avoids the eigenvalue crossings pinned at k = 0 and k = pi
     return -math.pi + 2.0 * math.pi * (np.arange(grid) + 0.5) / grid
 
 
+def _shifted(coin: np.ndarray, ks: np.ndarray, moves: np.ndarray) -> np.ndarray:
+    """The stack diag(exp(-i k moves)) @ coin over the momenta ``ks``."""
+    return np.exp(-1j * np.outer(ks, moves))[:, :, None] * coin
+
+
 def _momentum_operators(phi: float, ks: np.ndarray) -> np.ndarray:
-    shift = np.zeros((len(ks), 4, 4), dtype=complex)
-    phase = np.exp(-1j * np.outer(ks, np.array([1.0, 1.0, -1.0, -1.0])))
-    idx = np.arange(4)
-    shift[:, idx, idx] = phase
-    return shift @ (phase_operator(phi) @ COIN4)
+    return _shifted(phase_operator(phi) @ COIN4, ks, _MOVES)
 
 
 def moments_analytic(
@@ -158,7 +171,7 @@ def moments_analytic(
         raise NumericError(
             f"k-grid of {grid} points cannot integrate a degree-{2 * m * t} integrand exactly"
         )
-    psi = default_spin() if initial_spin is None else np.asarray(initial_spin, dtype=complex)
+    psi = _initial_spin(initial_spin)
     ms = _momentum_operators(phi, _k_grid(grid))
     mdag = ms.conj().transpose(0, 2, 1)
     s_j = np.broadcast_to(Z_X, ms.shape).copy()
@@ -171,10 +184,25 @@ def moments_analytic(
     return float(np.mean(values).real)
 
 
-def _eigensystem(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Schur of a normal matrix gives an orthonormal eigenbasis
-    tmat, z = scipy.linalg.schur(mat, output="complex")
-    return np.diag(tmat), z
+def _long_time_coefficients(
+    ms: np.ndarray, psi: np.ndarray, moves: np.ndarray
+) -> tuple[float, float]:
+    """Grid means (c1, c2) of sum_l w_l v_l and sum_l w_l v_l^2 over the eigenvectors
+    |l> of each matrix in ``ms``: w_l = |<l|psi>|^2, v_l = <l|diag(moves)|l>."""
+    lam, vecs = np.linalg.eig(ms)
+    gaps = np.abs(lam[:, :, None] - lam[:, None, :]) + np.eye(lam.shape[1])
+    keep = gaps.min(axis=(1, 2)) >= 1e-8
+    used = int(np.count_nonzero(keep))
+    if used == 0:
+        raise NumericError("all grid points sit on eigenvalue crossings")
+    if used < len(ms):
+        warnings.warn(
+            f"excluded {len(ms) - used} near-degenerate momentum grid points", stacklevel=3
+        )
+    vecs = vecs[keep]
+    weights = np.abs(np.einsum("kil,i->kl", vecs.conj(), psi)) ** 2
+    velocity = np.einsum("kil,i->kl", np.abs(vecs) ** 2, moves)
+    return float(np.sum(weights * velocity)) / used, float(np.sum(weights * velocity**2)) / used
 
 
 def asymptotic_coefficients(
@@ -182,34 +210,14 @@ def asymptotic_coefficients(
     initial_spin: np.ndarray | None = None,
     grid: int = DEFAULT_GRID,
 ) -> tuple[float, float]:
-    """Long-time coefficients (c1, c2) with <s>_t ~ c1 t and <s^2>_t ~ c2 t^2."""
-    psi = default_spin() if initial_spin is None else np.asarray(initial_spin, dtype=complex)
-    ks = _k_grid(grid)
-    sum1 = 0.0
-    sum2 = 0.0
-    used = 0
-    excluded = 0
-    for k in ks:
-        lam, vecs = _eigensystem(momentum_operator(phi, k))
-        gap = np.min(np.abs(lam[:, None] - lam[None, :]) + np.eye(4))
-        if gap < 1e-8:
-            excluded += 1
-            continue
-        weights = np.abs(vecs.conj().T @ psi) ** 2
-        pl = np.real(np.einsum("il,ij,jl->l", vecs.conj(), P_LEFT, vecs))
-        pr = np.real(np.einsum("il,ij,jl->l", vecs.conj(), P_RIGHT, vecs))
-        sum1 += float(weights @ pl)
-        sum2 += float(weights @ (pl * pr))
-        used += 1
-    if used == 0:
-        raise NumericError("all grid points sit on eigenvalue crossings")
-    if excluded:
-        warnings.warn(
-            f"excluded {excluded} near-degenerate momentum grid points", stacklevel=2
-        )
-    c1 = 1.0 - 2.0 * sum1 / used
-    c2 = 1.0 - 4.0 * sum2 / used
-    return c1, c2
+    """Long-time coefficients (c1, c2) with <s>_t ~ c1 t and <s^2>_t ~ c2 t^2.
+
+    One batched eigendecomposition covers the grid; points whose smallest
+    eigenvalue gap is below 1e-8 are excluded with a warning, and the mean
+    runs over the rest (``NumericError`` if none is left).
+    """
+    psi = _initial_spin(initial_spin)
+    return _long_time_coefficients(_momentum_operators(phi, _k_grid(grid)), psi, _MOVES)
 
 
 def asymptotic_variance_coefficient(
@@ -223,26 +231,12 @@ def two_state_coefficients(
     coin: np.ndarray, psi: np.ndarray, grid: int = DEFAULT_GRID
 ) -> tuple[float, float]:
     """Same long-time coefficients for a plain two-state coined walk."""
-    psi = np.asarray(psi, dtype=complex)
-    pl2 = np.diag([0.0, 1.0]).astype(complex)
-    pr2 = np.diag([1.0, 0.0]).astype(complex)
-    sum1 = 0.0
-    sum2 = 0.0
-    used = 0
-    for k in _k_grid(grid):
-        mk = np.diag(np.exp(-1j * k * np.array([1.0, -1.0]))) @ coin
-        lam, vecs = _eigensystem(mk)
-        if np.min(np.abs(lam[:, None] - lam[None, :]) + np.eye(2)) < 1e-8:
-            continue
-        weights = np.abs(vecs.conj().T @ psi) ** 2
-        pl = np.real(np.einsum("il,ij,jl->l", vecs.conj(), pl2, vecs))
-        pr = np.real(np.einsum("il,ij,jl->l", vecs.conj(), pr2, vecs))
-        sum1 += float(weights @ pl)
-        sum2 += float(weights @ (pl * pr))
-        used += 1
-    c1 = 1.0 - 2.0 * sum1 / used
-    c2 = 1.0 - 4.0 * sum2 / used
-    return c1, c2
+    moves = np.array([1.0, -1.0])
+    return _long_time_coefficients(
+        _shifted(np.asarray(coin, dtype=complex), _k_grid(grid), moves),
+        np.asarray(psi, dtype=complex),
+        moves,
+    )
 
 
 def product_walk_variance(phi: float, t: int, initial_spin: np.ndarray | None = None) -> float:
@@ -251,7 +245,7 @@ def product_walk_variance(phi: float, t: int, initial_spin: np.ndarray | None = 
     quarter = round(2.0 * phi / math.pi)
     if abs(phi - quarter * math.pi / 2.0) > 1e-12:
         raise DomainError("the walk only factorizes at multiples of pi/2")
-    psi4 = default_spin() if initial_spin is None else np.asarray(initial_spin, dtype=complex)
+    psi4 = _initial_spin(initial_spin)
     # x-part of a product spin state (the default basis state is product)
     mat = psi4.reshape(2, 2)
     u, s, _ = np.linalg.svd(mat)
@@ -276,12 +270,11 @@ def variance_surface(
         raise DomainError("phi and t grids must be nonempty")
     if t_grid[0] < 1:
         raise DomainError(f"step counts must be >= 1, got {t_grid[0]}")
+    spin = _initial_spin(initial_spin)
     rows: list[tuple[int, float, float, float | None]] = []
     for phi in phi_grid:
-        coeff = asymptotic_variance_coefficient(phi, initial_spin) if analytic else None
-        state = SpinorField.localized(
-            default_spin() if initial_spin is None else initial_spin
-        )
+        coeff = asymptotic_variance_coefficient(phi, spin) if analytic else None
+        state = SpinorField.localized(spin)
         step_now = 0
         for t in t_grid:
             while step_now < t:

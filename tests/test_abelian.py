@@ -1,9 +1,10 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from anyonwalk import abelian
 from anyonwalk.abelian import (
     COIN4,
     _C2,
@@ -22,6 +23,7 @@ from anyonwalk.abelian import (
     SpinorField,
     default_spin,
 )
+from anyonwalk.distribution import COINS
 from anyonwalk.errors import DomainError, NumericError
 
 
@@ -88,9 +90,7 @@ def test_moments_grid_too_small_raises():
 
 def test_second_moment_leading_coefficient():
     # <s^2>_t / t^2 approaches the long-time quadratic coefficient
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _, c2 = asymptotic_coefficients(0.0)
+    _, c2 = asymptotic_coefficients(0.0)
     m2 = moments_analytic(0.0, 200, 2)
     assert abs(m2 / 200**2 - c2) / c2 < 0.02
 
@@ -109,27 +109,21 @@ def test_momentum_reconstruction_matches_direct_evolution():
 
 
 def test_product_coefficients_at_zero_phase():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        c1, c2 = asymptotic_coefficients(0.0)
+    c1, c2 = asymptotic_coefficients(0.0)
     c1_ref, c2_ref = two_state_coefficients(_C2, np.array([1, 0], dtype=complex))
     assert abs(c1 - c1_ref) < 1e-10
     assert abs(c2 - c2_ref) < 1e-10
 
 
 def test_generic_phase_slows_the_spread():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _, c2_zero = asymptotic_coefficients(0.0)
+    _, c2_zero = asymptotic_coefficients(0.0)
     _, c2_generic = asymptotic_coefficients(0.7)
     assert c2_generic < c2_zero
 
 
 def test_quadratic_coefficient_positive_on_grid():
     for phi in np.linspace(0.0, 2 * math.pi, 64, endpoint=False):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            _, c2 = asymptotic_coefficients(float(phi), grid=256)
+        _, c2 = asymptotic_coefficients(float(phi), grid=256)
         assert c2 > 0
 
 
@@ -186,3 +180,134 @@ def test_step_operator_composes_localized_states():
     state = abelian_step(state, 0.0)
     probs = state.position_probs()
     assert np.allclose(sorted(probs[probs > 1e-14]), [0.5, 0.5], atol=1e-12)
+
+
+def _reference_step(phi, k):
+    """M_k = exp(-i k Z_x) exp(i phi Z_x Z_y) exp(i pi/4 (X_x + X_y)), built here."""
+    z = np.array([1.0, -1.0])
+    half = np.cos(math.pi / 4) * np.eye(2) + 1j * np.sin(math.pi / 4) * np.array([[0, 1], [1, 0]])
+    shift = np.diag(np.exp(-1j * k * np.kron(z, [1.0, 1.0])))
+    return shift @ np.diag(np.exp(1j * phi * np.kron(z, z))) @ np.kron(half, half)
+
+
+def _reference_coefficients(mats, psis, pl, pr):
+    """The per-k Schur loop the batched coefficients replaced, for several spins."""
+    sum1 = np.zeros(len(psis))
+    sum2 = np.zeros(len(psis))
+    used = 0
+    for mat in mats:
+        tmat, vecs = scipy.linalg.schur(mat, output="complex")
+        lam = np.diag(tmat)
+        if np.min(np.abs(lam[:, None] - lam[None, :]) + np.eye(len(lam))) < 1e-8:
+            continue
+        occ_l = np.real(np.einsum("il,ij,jl->l", vecs.conj(), pl, vecs))
+        occ_r = np.real(np.einsum("il,ij,jl->l", vecs.conj(), pr, vecs))
+        for n, psi in enumerate(psis):
+            weights = np.abs(vecs.conj().T @ psi) ** 2
+            sum1[n] += float(weights @ occ_l)
+            sum2[n] += float(weights @ (occ_l * occ_r))
+        used += 1
+    return [(1.0 - 2.0 * a / used, 1.0 - 4.0 * b / used) for a, b in zip(sum1, sum2)]
+
+
+def _midpoints(grid):
+    return [-math.pi + 2.0 * math.pi * (j + 0.5) / grid for j in range(grid)]
+
+
+_PL4 = np.diag([0.0, 0.0, 1.0, 1.0])
+_PR4 = np.diag([1.0, 1.0, 0.0, 0.0])
+_ORACLE_PHIS = [0.0, math.pi / 4, math.pi / 2, math.pi, 3 * math.pi / 2] + [
+    float(x) for x in np.linspace(0.1, 2 * math.pi - 0.1, 15)
+]
+
+
+def _oracle_spins():
+    rng = np.random.default_rng(8)
+    cplx = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return [default_spin(), np.array([0.6, 0.0, 0.0, 0.8], dtype=complex), cplx / np.linalg.norm(cplx)]
+
+
+@pytest.mark.parametrize("grid", [64, 256, 1024])
+def test_batched_coefficients_match_per_k_schur_oracle(grid):
+    spins = _oracle_spins()
+    for phi in _ORACLE_PHIS:
+        mats = [_reference_step(phi, k) for k in _midpoints(grid)]
+        expected = _reference_coefficients(mats, spins, _PL4, _PR4)
+        for spin, ref in zip(spins, expected):
+            got = asymptotic_coefficients(phi, spin, grid)
+            assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12, (phi, spin, grid)
+
+
+@pytest.mark.parametrize("coin", ["H", "U"])
+@pytest.mark.parametrize("grid", [64, 256, 1024])
+def test_two_state_coefficients_match_per_k_schur_oracle(coin, grid):
+    rng = np.random.default_rng(3)
+    cplx = rng.normal(size=2) + 1j * rng.normal(size=2)
+    spins = [np.array([1, 0], dtype=complex), cplx / np.linalg.norm(cplx)]
+    mats = [np.diag(np.exp(-1j * k * np.array([1.0, -1.0]))) @ COINS[coin] for k in _midpoints(grid)]
+    expected = _reference_coefficients(mats, spins, np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+    for spin, ref in zip(spins, expected):
+        got = two_state_coefficients(COINS[coin], spin, grid)
+        assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12
+
+
+def test_crossing_grid_point_is_excluded_with_a_warning():
+    # the odd midpoint grid puts a point on the crossing at k = 0
+    with pytest.warns(UserWarning, match="excluded 1 near-degenerate momentum grid points"):
+        got = asymptotic_coefficients(0.0, grid=3)
+    mats = [_reference_step(0.0, k) for k in _midpoints(3)]
+    (ref,) = _reference_coefficients(mats, [default_spin()], _PL4, _PR4)
+    assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.7, math.pi / 2, 2.5])
+def test_batched_eigenphases_are_the_closed_form_pairs(phi):
+    ks = abelian._k_grid(1024)
+    phases = np.sort(np.angle(np.linalg.eigvals(abelian._momentum_operators(phi, ks))), axis=1)
+    pairs = np.array([eigenphase_pair(phi, float(k)) for k in ks])
+    expected = np.sort(np.concatenate([pairs, -pairs], axis=1), axis=1)
+    assert np.max(np.abs(phases - expected)) < 1e-10
+
+
+def test_two_state_crossings_get_the_four_state_guards():
+    # the identity coin is degenerate at k = 0 and k = pi
+    with pytest.raises(NumericError, match="eigenvalue crossings"):
+        two_state_coefficients(np.eye(2), [1, 0], grid=1)
+    with pytest.warns(UserWarning, match="excluded 1 near-degenerate momentum grid points"):
+        c1, c2 = two_state_coefficients(np.eye(2), [1, 0], grid=3)
+    assert (c1, c2) == pytest.approx((1.0, 1.0), abs=1e-14)
+
+
+@pytest.mark.parametrize("grid", [0, -4])
+def test_empty_momentum_grid_is_a_domain_error(grid):
+    with pytest.raises(DomainError, match="at least 1 point"):
+        asymptotic_coefficients(0.7, grid=grid)
+    with pytest.raises(DomainError, match="at least 1 point"):
+        two_state_coefficients(_C2, [1, 0], grid=grid)
+
+
+_BAD_SPINS = [
+    np.array([1.0, 1.0, 0.0, 0.0]),
+    np.array([1.0, 0.0, 0.0]),
+    np.eye(4)[:2],
+    np.array([1.0 + 1e-9, 0.0, 0.0, 0.0]),
+]
+
+
+@pytest.mark.parametrize("spin", _BAD_SPINS)
+def test_asymptotic_coefficients_reject_a_bad_spin(spin):
+    with pytest.raises(DomainError, match="normalized 4-vector"):
+        asymptotic_coefficients(0.7, initial_spin=spin)
+
+
+@pytest.mark.parametrize("spin", _BAD_SPINS)
+def test_moments_reject_a_bad_spin(spin):
+    with pytest.raises(DomainError, match="normalized 4-vector"):
+        moments_analytic(0.7, 5, 2, initial_spin=spin)
+
+
+@pytest.mark.parametrize("analytic", [False, True])
+@pytest.mark.parametrize("spin", _BAD_SPINS)
+def test_variance_surface_rejects_a_bad_spin(spin, analytic):
+    with pytest.raises(DomainError, match="normalized 4-vector"):
+        variance_surface([0.7], [5], initial_spin=spin, analytic=analytic)
