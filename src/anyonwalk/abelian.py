@@ -22,7 +22,7 @@ gives each eigenvector's weight in the initial spin and its velocity
 well-defined eigenbasis; they are left out of the mean, with a warning.
 
 Every function taking an initial spin refuses one that is not a normalized
-4-vector.
+vector of its coin's dimension, 4 (2 for ``two_state_coefficients``).
 """
 
 from __future__ import annotations
@@ -60,14 +60,17 @@ class AbelianConfig:
         object.__setattr__(self, "initial_spin", _initial_spin(self.initial_spin))
 
 
+def _normalized(spin, dim: int) -> np.ndarray:
+    """``spin`` checked to be a normalized ``dim``-vector."""
+    spin = np.asarray(spin, dtype=complex)
+    if spin.shape != (dim,) or abs(np.linalg.norm(spin) - 1.0) > 1e-12:
+        raise DomainError(f"initial spin must be a normalized {dim}-vector")
+    return spin
+
+
 def _initial_spin(spin: np.ndarray | None) -> np.ndarray:
     """The default spin for None, else ``spin`` checked to be a normalized 4-vector."""
-    if spin is None:
-        return default_spin()
-    spin = np.asarray(spin, dtype=complex)
-    if spin.shape != (4,) or abs(np.linalg.norm(spin) - 1.0) > 1e-12:
-        raise DomainError("initial spin must be a normalized 4-vector")
-    return spin
+    return default_spin() if spin is None else _normalized(spin, 4)
 
 
 @dataclass
@@ -234,7 +237,7 @@ def two_state_coefficients(
     moves = np.array([1.0, -1.0])
     return _long_time_coefficients(
         _shifted(np.asarray(coin, dtype=complex), _k_grid(grid), moves),
-        np.asarray(psi, dtype=complex),
+        _normalized(psi, 2),
         moves,
     )
 

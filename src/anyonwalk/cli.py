@@ -137,6 +137,7 @@ def _parse_floats(text: str) -> list[float]:
 MAX_INT_LIST = 10_000
 #: most CSV rows ``su2k generators`` may emit
 GENERATOR_ROW_CAP = 2**20
+_LETTER = re.compile(r"[+-]?[0-9]+")
 _INT_ITEM = re.compile(r"\s*([+-]?[0-9]+)\s*(?:\.\.\s*([+-]?[0-9]+)\s*)?")
 
 
@@ -302,8 +303,12 @@ def _run_kauffman(args) -> ResultEnvelope:
     from .models import build_su2k
     from .tl import BraidWord, markov_bracket, plat_bracket
 
-    letters = tuple(int(x) for x in args.word.split())
-    word = BraidWord(args.n, letters)
+    letters = []
+    for token in args.word.split():
+        if not _LETTER.fullmatch(token):
+            raise DomainError(f"cannot parse braid letter {token!r}")
+        letters.append(int(token))
+    word = BraidWord(args.n, tuple(letters))
     bracket = plat_bracket if args.closure == "plat" else markov_bracket
     meta = {
         "tool_version": __version__,

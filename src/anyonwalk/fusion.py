@@ -50,6 +50,17 @@ def check_state_budget(n: int, dim: int) -> None:
         )
 
 
+def _check_dimension_floor(n: int) -> None:
+    """Refuse n anyons before counting their space: every level has
+    dim >= 2^(n/2-1), compared by exponent so a huge n builds no huge integer."""
+    e = n // 2 - 1
+    if e >= DENSE_STATE_BUDGET.bit_length() or 2 * (n + 2) << e > DENSE_STATE_BUDGET:
+        raise DomainError(
+            f"dense state of at least {2 * (n + 2)}*2^{e} amplitudes (n={n}) exceeds "
+            f"the memory budget of {DENSE_STATE_BUDGET}"
+        )
+
+
 def _path_keys(charges: np.ndarray) -> np.ndarray:
     """Step bitmask of each extended path (vacuum, c_1, ..., c_{n-1}, vacuum),
     first step in the most significant bit, 1 for a step up.
@@ -105,6 +116,7 @@ def _reach_table(model: AnyonModel, n: int) -> tuple[np.ndarray, list[list[int]]
     exactly r more steps, and the charges one step from each charge."""
     if n % 2 or n < 4:
         raise DomainError(f"anyon count must be even and >= 4, got {n}")
+    _check_dimension_floor(n)  # the table holds integers of about n bits
     nlab = len(model.labels)
     reach = np.zeros((nlab, n + 1), dtype=object)
     reach[model.vacuum, 0] = 1

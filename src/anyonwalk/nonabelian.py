@@ -18,7 +18,8 @@ Two engines compute P(s, t):
   pairing of the site's diagrams, a Kauffman bracket of the links the
   world-lines trace (Kauffman, "State models and the Jones polynomial",
   Topology 1987).  It counts loops only, with no fusion basis or path
-  weights, so it is an independent check on the dense engine.
+  weights, so it is an independent check on the dense engine.  The skein
+  action is ``tl.skein_act``, the one the exact brackets use.
 
 Both use the same loop-weight representation conventions, so they agree to
 numerical precision, not merely up to phase.  ``coin_trace`` and
@@ -51,6 +52,7 @@ from .tl import (
     _catalan,
     _cycle_count,
     anyon_trace,  # noqa: F401  (perfbench's tracer wraps this name)
+    skein_act,
 )
 
 #: cup diagrams one site and coin may hold; a walk needs 68 at t=12, 128 at
@@ -158,27 +160,6 @@ def _loop_pairs(t: int):
                 yield a, ap, False
 
 
-def _cup_braid(
-    vec: dict[Matching, complex], i: int, A: complex, d: float
-) -> dict[Matching, complex]:
-    """b_i = A + A^-1 e_i on a vector of cup diagrams (strands i, i+1 are
-    points i-1, i).  e_i closes a loop on a diagram that already caps the
-    two points; otherwise it caps them and joins their former partners."""
-    p, q = i - 1, i
-    out: dict[Matching, complex] = {}
-    for diag, coeff in vec.items():
-        out[diag] = out.get(diag, 0j) + A * coeff
-        if diag[p] == q:
-            capped, weight = diag, d / A
-        else:
-            a, b = diag[p], diag[q]
-            match = list(diag)
-            match[p], match[q], match[a], match[b] = q, p, b, a
-            capped, weight = tuple(match), 1 / A
-        out[capped] = out.get(capped, 0j) + weight * coeff
-    return out
-
-
 def _gram_value(
     vecs, n: int, d: float, loops: dict[tuple[Matching, Matching], int]
 ) -> complex:
@@ -239,7 +220,7 @@ def distribution_pathsum(
             for out, block, letter in ((0, j, s - 1), (1, j + 1, s)):
                 tossed = {D: c[out, 0] * x0.get(D, 0j) + c[out, 1] * x1.get(D, 0j)
                           for D in x0.keys() | x1.keys()}
-                vec = _cup_braid(tossed, letter, A, d)
+                vec = skein_act(tossed, letter, A, 1 / A, d)
                 if len(vec) > PATHSUM_MAX_SUPPORT:
                     raise DomainError(
                         f"step {r + 1} of the walk holds {len(vec)} cup diagrams at one site, "

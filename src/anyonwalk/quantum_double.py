@@ -41,6 +41,11 @@ from .tl import BraidWord
 
 Runs = list[list[int]]  # [generator index, accumulated power]
 
+#: longest walk whose paths are listed: the pair loop sorts all 2^t of them
+#: before the first trace (t=20: 1.9 s and 280 MB), so a longer walk is
+#: refused first; today the rewrite system already stops at t=5
+DSN_MAX_T = 12
+
 
 def trace_factor(N: int, m: int) -> int:
     """Contribution of one run b_i^m to the trace closure (an integer)."""
@@ -177,6 +182,8 @@ def double_walk_distribution(N: int, t: int, coin: str = "U") -> Distribution:
     if coin not in ("U", "H"):
         raise DomainError(f"coin must be 'U' or 'H', got {coin!r}")
     build_dsn(N)  # validates N
+    if t > DSN_MAX_T:
+        raise DomainError(f"a {t}-step walk lists 2^{t} paths; at most {DSN_MAX_T} steps")
     geom = WalkGeometry.for_steps(t)
     geom.check_steps(t)
     totals: dict[int, Fraction] = {geom.s0 + 2 * j - t: Fraction(0) for j in range(t + 1)}

@@ -9,19 +9,19 @@ left*, so the whole boundary is numbered counterclockwise and a matching is
 planar exactly when its bracket sequence is balanced.  The top point above
 bottom column c is 2n-1-c.
 
-Composition stacks one diagram on top of another, removing and counting any
-closed loops formed in the middle.  Each loop is worth d = -A^2 - A^-2,
-which is substituted as a Laurent polynomial in exact mode so coefficients
-stay integral.
-
 Braid words are flat sequences of nonzero letters, letter +i (-i) being a
 positive (negative) crossing of strands i and i+1, first-applied letter
 first, drawn at the bottom of the diagram.  A positive letter expands to
-A*identity + A^-1*e_i, a negative one to A^-1*identity + A*e_i.
+A*identity + A^-1*e_i, a negative one to A^-1*identity + A*e_i.  Each loop
+is worth d = -A^2 - A^-2, a Laurent polynomial in exact mode.
 
-Closures: the plat closure caps neighboring columns (1,2)(3,4)... top and
-bottom; the Markov (trace) closure joins each top point to the bottom point
-of the same column.  Both are normalized so a single unknot has value 1.
+``skein_act`` applies a letter at two adjacent points of a vector of
+matchings; the brackets and the pathsum engine both evolve through it.  The
+plat bracket evolves the n-point bottom cups (1,2)(3,4)... and pairs them
+with the top cups; the Markov (trace) bracket evolves the identity, last
+letter first, and joins each top point to the bottom point of its column.
+Both are normalized so a single unknot has value 1.  ``compose``, which
+stacks whole diagrams, serves only the state-sum oracle.
 """
 
 from __future__ import annotations
@@ -167,6 +167,8 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise DomainError(f"a braid word needs at least one strand, got n={self.n}")
         for letter in self.letters:
             if letter == 0 or not 1 <= abs(letter) <= self.n - 1:
                 raise DomainError(f"letter {letter} outside braid group on {self.n} strands")
@@ -205,15 +207,8 @@ def _is_zero(c) -> bool:
     return c.is_zero() if isinstance(c, LaurentPoly) else c == 0
 
 
-def _letter_terms(letter: int, n: int, at: complex | None):
-    i = abs(letter)
-    if at is None:
-        ca = LaurentPoly.monomial(1 if letter > 0 else -1)
-        cb = LaurentPoly.monomial(-1 if letter > 0 else 1)
-    else:
-        ca = at if letter > 0 else 1 / at
-        cb = 1 / at if letter > 0 else at
-    return (identity_diagram(n), ca), (cup_cap_diagram(n, i), cb)
+#: most diagrams a bracket expansion may hold; a wider one is refused as it grows
+BRACKET_MAX_SUPPORT = 2**16
 
 
 def _loop_weight(at: complex | None):
@@ -222,26 +217,46 @@ def _loop_weight(at: complex | None):
     return -(at**2) - at**-2
 
 
-def _expand(word: BraidWord, at: complex | None) -> dict[Matching, object]:
-    """Accumulate the skein expansion of ``word`` left-to-right."""
-    n = word.n
+def skein_act(vec: dict[Matching, object], i: int, ca, cb, delta) -> dict[Matching, object]:
+    """Apply ca + cb*e_i to {planar matching: coefficient} at points (i-1, i).
+
+    e_i closes a loop (weight cb*delta) on a matching that already joins the
+    two points, and otherwise joins them and their former partners.
+    Coefficients may be complex or LaurentPoly; zeros are kept.
+    """
+    p, q = i - 1, i
+    loop = cb * delta
+    out: dict[Matching, object] = {}
+    for diag, coeff in vec.items():
+        if diag[p] == q:
+            capped, weight = diag, loop
+        else:
+            a, b = diag[p], diag[q]
+            match = list(diag)
+            match[p], match[q], match[a], match[b] = q, p, b, a
+            capped, weight = tuple(match), cb
+        for key, term in ((diag, ca * coeff), (capped, weight * coeff)):
+            out[key] = out[key] + term if key in out else term
+    return out
+
+
+def _evolve(start: Matching, letters, at: complex | None) -> dict[Matching, object]:
+    """{start: 1} with the letters applied in turn; exact zeros are dropped."""
     delta = _loop_weight(at)
-    one = LaurentPoly.one() if at is None else 1.0 + 0j
-    acc: dict[Matching, object] = {identity_diagram(n): one}
-    cap = _catalan(n)
-    for letter in word.letters:
-        new: dict[Matching, object] = {}
-        for diag_l, coeff_l in _letter_terms(letter, n, at):
-            for diag_a, coeff_a in acc.items():
-                stacked, loops = compose(diag_l, diag_a)
-                coeff = coeff_l * coeff_a * delta**loops if loops else coeff_l * coeff_a
-                if stacked in new:
-                    new[stacked] = new[stacked] + coeff
-                else:
-                    new[stacked] = coeff
-        acc = {m: c for m, c in new.items() if not _is_zero(c)}
-        assert len(acc) <= cap, "diagram support exceeded the Catalan bound"
-    return acc
+    a, a_inv = (LaurentPoly.monomial(1), LaurentPoly.monomial(-1)) if at is None else (at, 1 / at)
+    vec: dict[Matching, object] = {start: LaurentPoly.one() if at is None else 1.0 + 0j}
+    cap = _catalan(len(start) // 2)
+    for step, letter in enumerate(letters, 1):
+        ca, cb = (a, a_inv) if letter > 0 else (a_inv, a)
+        vec = skein_act(vec, abs(letter), ca, cb, delta)
+        vec = {m: c for m, c in vec.items() if not _is_zero(c)}
+        if len(vec) > BRACKET_MAX_SUPPORT:
+            raise DomainError(
+                f"skein expansion holds {len(vec)} diagrams after {step} letters, "
+                f"over the budget of {BRACKET_MAX_SUPPORT}"
+            )
+        assert len(vec) <= cap, "diagram support exceeded the Catalan bound"
+    return vec
 
 
 @functools.lru_cache(maxsize=None)
@@ -255,35 +270,39 @@ def _catalan(n: int) -> int:
 def skein_expand(word: BraidWord) -> dict[Matching, LaurentPoly]:
     """Exact skein expansion of a braid word into the diagram algebra: the
     nonzero LaurentPoly coefficient of each planar diagram."""
-    return _expand(word, None)
+    # a letter acts at the bottom, so the last-applied letter goes first
+    return _evolve(identity_diagram(word.n), reversed(word.letters), None)
 
 
-def _closed_sum(terms: dict[Matching, object], loop_fn, at: complex | None):
+def _closed_sum(terms: dict[Matching, object], closure: Matching, at: complex | None):
     # Every closed diagram has at least one loop; folding one factor of d
     # into the normalization makes a single unknot evaluate to 1.
     delta = _loop_weight(at)
     total = LaurentPoly.zero() if at is None else 0j
     for match, coeff in terms.items():
-        total = total + coeff * delta ** (loop_fn(match) - 1)
+        total = total + coeff * delta ** (_cycle_count(match, closure) - 1)
     return total
+
 
 def plat_bracket(word: BraidWord, at: complex | None = None):
     """Bracket of the plat closure; LaurentPoly if ``at`` is None, else complex."""
     if word.n % 2:
         raise DomainError("plat closure needs an even strand count")
-    return _closed_sum(_expand(word, at), plat_loops, at)
+    cups = tuple(p ^ 1 for p in range(word.n))  # (1,2)(3,4)... on n points
+    return _closed_sum(_evolve(cups, word.letters, at), cups, at)
 
 
 def markov_bracket(word: BraidWord, at: complex | None = None):
     """Bracket of the trace closure; LaurentPoly if ``at`` is None, else complex."""
-    return _closed_sum(_expand(word, at), markov_loops, at)
+    ident = identity_diagram(word.n)
+    return _closed_sum(_evolve(ident, reversed(word.letters), at), ident, at)
 
 
 def state_sum_bracket(word: BraidWord, closure: str, at: complex | None = None):
     """Brute-force bracket: smooth every crossing independently (2^c states).
 
-    Independent of the algebra accumulation in ``_expand``; used as an
-    oracle for it.
+    It stacks whole diagrams with ``compose``, independent of the skein
+    action the other brackets use; an oracle for them.
     """
     if closure not in ("plat", "markov"):
         raise DomainError(f"unknown closure {closure!r}")

@@ -294,6 +294,12 @@ _BAD_SPINS = [
 ]
 
 
+@pytest.mark.parametrize("spin", [[1, 1], [1, 0, 0]])
+def test_two_state_coefficients_reject_a_bad_spin(spin):
+    with pytest.raises(DomainError, match="normalized 2-vector"):
+        two_state_coefficients(_C2, spin)
+
+
 @pytest.mark.parametrize("spin", _BAD_SPINS)
 def test_asymptotic_coefficients_reject_a_bad_spin(spin):
     with pytest.raises(DomainError, match="normalized 4-vector"):

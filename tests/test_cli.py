@@ -217,3 +217,45 @@ def test_normalization_drift_is_a_numeric_failure(monkeypatch, capsys):
     monkeypatch.setattr(nonabelian, "walk_distribution", drifting)
     assert main(["su2k", "dist", "--k", "2", "--t", "2"]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["kauffman", "--n", "4", "--word", "1 x", "--closure", "markov"], "'x'"),
+        (["kauffman", "--n", "4", "--word", "1 2.5", "--closure", "plat", "--exact"], "'2.5'"),
+        (["kauffman", "--n", "0", "--word", "", "--closure", "markov", "--exact"], "n=0"),
+        (["kauffman", "--n", "-2", "--word", "", "--closure", "plat", "--exact"], "n=-2"),
+        (["kauffman", "--n", "0", "--word", "", "--closure", "markov", "--k", "3"], "n=0"),
+        (
+            ["kauffman", "--n", "40", "--word", " ".join(map(str, range(1, 31))),
+             "--closure", "markov", "--exact"],
+            "budget",
+        ),
+    ],
+)
+def test_bad_kauffman_input_is_a_precondition_failure(argv, named, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["su2k", "dist", "--engine", "dense", "--k", "3", "--t", "2", "--n", "20002"],
+        ["su2k", "generators", "--k", "3", "--n", "20002"],
+        ["dsn", "dist", "--N", "5", "--t", "20"],
+        ["dsn", "dist", "--N", "5", "--t", "40"],
+    ],
+)
+def test_oversized_walk_is_refused_before_allocating(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # one short line, naming no huge integer
+    assert err.startswith("error:") and len(err) < 200

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anyonwalk.tl as tl
 from anyonwalk.errors import DomainError
 from anyonwalk.laurent import LOOP_VALUE, LaurentPoly
 from anyonwalk.models import build_su2k
@@ -17,6 +18,7 @@ from anyonwalk.tl import (
     is_planar_matching,
     markov_bracket,
     plat_bracket,
+    skein_act,
     skein_expand,
     state_sum_bracket,
 )
@@ -79,6 +81,9 @@ def test_braid_word_algebra():
         BraidWord(3, (3,))
     with pytest.raises(DomainError):
         BraidWord(2, (0,))
+    for n in (0, -2):
+        with pytest.raises(DomainError, match="at least one strand"):
+            BraidWord(n, ())
 
 
 def test_skein_single_letter():
@@ -211,3 +216,47 @@ def test_anyon_trace_modulus_bounded_for_walk_words():
                     model, geom.n, path_braid_word(geom, a), path_braid_word(geom, b)
                 )
                 assert abs(value) <= 1.0 + 1e-10
+
+
+def test_brackets_do_not_compose_whole_diagrams(monkeypatch):
+    # the oracle's values are taken first: only state_sum_bracket composes
+    rng = np.random.default_rng(8)
+    words = [random_word(rng, int(rng.integers(2, 9)), int(rng.integers(11))) for _ in range(30)]
+    oracle = [
+        (state_sum_bracket(w, "markov"), state_sum_bracket(w, "plat") if w.n % 2 == 0 else None)
+        for w in words
+    ]
+
+    def refuse(*args):
+        raise AssertionError("a bracket stacked whole diagrams")
+
+    monkeypatch.setattr(tl, "compose", refuse)
+    test_skein_single_letter()
+    test_skein_double_letter()
+    test_plat_values()
+    test_markov_values()
+    assert skein_expand(BraidWord(3, (1, -1))) == {identity_diagram(3): LaurentPoly.one()}
+    for w, (markov, plat) in zip(words, oracle):
+        assert markov_bracket(w) == markov
+        if plat is not None:
+            assert plat_bracket(w) == plat
+
+
+def test_skein_act_closes_a_loop_or_rejoins_partners():
+    d, a, b = 3.0, 2.0, 5.0
+    cups = (1, 0, 3, 2)  # (1,2)(3,4) on four points
+    # points (0, 1) are already joined: e_1 closes a loop
+    assert skein_act({cups: 1.0}, 1, a, b, d) == {cups: a + b * d}
+    # points (1, 2) are not: e_2 joins them and their former partners 0 and 3
+    assert skein_act({cups: 1.0}, 2, a, b, d) == {cups: a, (3, 2, 1, 0): b}
+    # zero coefficients are kept; the caller prunes
+    assert skein_act({cups: 1.0}, 1, -b * d, b, d) == {cups: 0.0}
+
+
+def test_oversized_skein_expansion_is_refused_as_it_grows(monkeypatch):
+    monkeypatch.setattr(tl, "BRACKET_MAX_SUPPORT", 8)
+    word = BraidWord(8, (1, 2, 3, 4, 5, 6, 7))
+    with pytest.raises(DomainError, match="over the budget of 8"):
+        markov_bracket(word)
+    with pytest.raises(DomainError, match="over the budget of 8"):
+        skein_expand(word)
