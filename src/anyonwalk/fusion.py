@@ -11,11 +11,14 @@ Braid generators are built through the loop-weight path representation of
 the diagram algebra: e_i acts at charge slot i, couples paths only where the
 neighboring slots agree, and carries weight sqrt(w(c) w(c')) / w(c_left),
 with w the loop weight of a label.  The braid matrix is then
-A * identity + A^-1 * e_i, a sparse CSR matrix with at most two entries per
-column, which makes dense evolution and bracket evaluation agree exactly,
-not merely up to phase.  A walk needs only the paths it can reach from the
+A * identity + A^-1 * e_i, which makes dense evolution and bracket
+evaluation agree exactly, not merely up to phase.  A row of it has at most
+one off-diagonal entry, so the walk applies ``braid_table``'s gather form
+b_i x = diag * x + off * x[partner]; ``braid_generator`` is the same entries
+as a CSR matrix.  A walk needs only the paths it can reach from the
 vacuum-pair path (``reachable_fusion_space``); the full basis
-(``enumerate_fusion_basis``) serves generator dumps and oracles.
+(``enumerate_fusion_basis``) and the CSR matrices serve generator dumps and
+oracles.
 
 For the level-2 model the same representation has a qubit form built from
 three fixed 2x2 / 4x4 blocks; it is provided for cross-checking.
@@ -37,7 +40,8 @@ from .models import AnyonModel
 #: walk holds only 2 x (t+1) x its reachable paths (266 of 265721 at k=4,
 #: t=12), but no bound on that count is proven, so the budget stays on the
 #: full space, where it is checked before any work.  Every level has
-#: dim >= 2^(n/2-1), so it caps n at 42 and the n-bit path keys fit in 64 bits.
+#: dim >= 2^(n/2-1), so it caps n at 42: the n-bit path keys, and the
+#: reachable pass's keys with the site above them, fit in 48 bits.
 DENSE_STATE_BUDGET = 2**27
 
 
@@ -113,17 +117,20 @@ class FusionSpace:
 
 def _reach_table(model: AnyonModel, n: int) -> tuple[np.ndarray, list[list[int]]]:
     """reach[q][r], the number of ways charge q fuses down to the vacuum in
-    exactly r more steps, and the charges one step from each charge."""
+    exactly r more steps, and the charges one step from each charge.
+
+    Only labels q <= n are counted: label q needs q steps to fuse back to the
+    vacuum, so a larger one never lies on an n-anyon path."""
     if n % 2 or n < 4:
         raise DomainError(f"anyon count must be even and >= 4, got {n}")
-    _check_dimension_floor(n)  # the table holds integers of about n bits
-    nlab = len(model.labels)
-    reach = np.zeros((nlab, n + 1), dtype=object)
+    _check_dimension_floor(n)  # so n <= 42, and every count, at most 2^n, fits in int64
+    nlab = min(len(model.labels), n + 1)
+    steps = model.fusion[:nlab, model.sigma, :nlab].astype(np.int64)
+    reach = np.zeros((nlab, n + 1), dtype=np.int64)
     reach[model.vacuum, 0] = 1
-    step_to = [model.fusion_outcomes(q, model.sigma) for q in range(nlab)]
     for r in range(1, n + 1):
-        for q in range(nlab):
-            reach[q, r] = sum(reach[c, r - 1] for c in step_to[q])
+        reach[:, r] = steps @ reach[:, r - 1]
+    step_to = [np.flatnonzero(row).tolist() for row in steps]
     if not reach[model.sigma, n - 1]:
         raise DomainError(f"no admissible fusion paths for {model.name} with n={n}")
     return reach, step_to
@@ -169,37 +176,43 @@ def enumerate_fusion_basis(model: AnyonModel, n: int) -> FusionSpace:
 def reachable_fusion_space(model: AnyonModel, n: int, s0: int, t: int) -> FusionSpace:
     """The paths a t-step walk from site s0 reaches from the vacuum-pair path.
 
-    A breadth-first pass over sites: site s braids only strands s-1 and s, and
-    e_i couples a path only to the one whose charge at slot i is
-    2 c_{i-1} - c_i, where c_{i-1} = c_{i+1} and that charge is a label.  Every
-    admissible partner of every path held at a site is kept, so generators on
-    this space act on the walk state exactly as on the full basis, which is
-    never listed.  The walk must stay within strands 1..n-1, and the caller
-    checks the state budget first, which also keeps the path keys in 64 bits.
+    A breadth-first pass over (site, path) rows held in one array: site s
+    braids strands s-1 and s, and e_i couples a path only to the one whose
+    charge at slot i is 2 c_{i-1} - c_i, where c_{i-1} = c_{i+1} and that
+    charge is a label.  Every admissible partner of every path held at a site
+    is kept, so generators on this space act on the walk state exactly as on
+    the full basis, which is never listed.  Rows are deduplicated by one key,
+    the site above the n-bit path key.  The walk must stay within strands
+    1..n-1, and the caller checks the state budget first, which keeps that
+    key within 48 bits.
     """
     top = len(model.labels) - 1
     # the extended path c_0, ..., c_n, vacuum at both ends
-    start = np.array([[model.sigma if j % 2 else model.vacuum for j in range(n + 1)]])
-
-    def braided(paths: np.ndarray, i: int) -> np.ndarray:
-        left, mid, right = paths[:, i - 1], paths[:, i], paths[:, i + 1]
-        partner = 2 * left - mid
-        keep = (left == right) & (partner >= 0) & (partner <= top)
-        moved = paths[keep]
-        moved[:, i] = partner[keep]
-        return np.concatenate([paths, moved])
-
-    sites = {s0: start}
+    paths = np.array([[model.sigma if j % 2 else model.vacuum for j in range(n + 1)]])
+    keys = _path_keys(paths[:, 1:-1])
+    sites = np.array([s0])
     for _ in range(t):
-        arrivals: dict[int, list[np.ndarray]] = {}
-        for s, paths in sites.items():
-            arrivals.setdefault(s - 1, []).append(braided(paths, s - 1))
-            arrivals.setdefault(s + 1, []).append(braided(paths, s))
-        sites = {s: np.unique(np.concatenate(group), axis=0) for s, group in arrivals.items()}
+        # site s braids slot s - 1 moving left, to site s - 1, and slot s moving right
+        slot = np.concatenate([sites - 1, sites])
+        sites = slot + np.repeat([0, 1], len(sites))
+        paths, keys = np.concatenate([paths, paths]), np.concatenate([keys, keys])
+        rows = np.arange(len(slot))
+        left, mid = paths[rows, slot - 1], paths[rows, slot]
+        partner = 2 * left - mid
+        keep = np.nonzero((left == paths[rows, slot + 1]) & (partner >= 0) & (partner <= top))[0]
+        moved = paths[keep]
+        moved[np.arange(len(keep)), slot[keep]] = partner[keep]
+        # the partner swaps steps i and i+1, two adjacent bits of the key
+        flips = np.uint64(3) << (n - 1 - slot[keep]).astype(np.uint64)
+        paths = np.concatenate([paths, moved])
+        keys = np.concatenate([keys, keys[keep] ^ flips])
+        sites = np.concatenate([sites, sites[keep]])
+        _, first = np.unique((sites.astype(np.uint64) << np.uint64(n)) | keys, return_index=True)
+        paths, keys, sites = paths[first], keys[first], sites[first]
     # every site passes its paths on to both neighbors, so the last step holds
-    # every path met before; np.unique sorts them lexicographically, in key order
-    charges = np.unique(np.concatenate(list(sites.values())), axis=0)[:, 1:-1]
-    return FusionSpace(model=model, n=n, charges=charges.astype(_charge_dtype(model)))
+    # every path met before; key order is lexicographic path order
+    _, first = np.unique(keys, return_index=True)
+    return FusionSpace(model=model, n=n, charges=paths[first, 1:-1].astype(_charge_dtype(model)))
 
 
 def vacuum_pair_state(space: FusionSpace) -> np.ndarray:
@@ -213,41 +226,62 @@ def vacuum_pair_state(space: FusionSpace) -> np.ndarray:
     return vec
 
 
-def tl_generator(space: FusionSpace, i: int) -> sp.csr_matrix:
-    """The diagram-algebra generator e_i on the fusion basis (Hermitian, e^2 = d e)."""
-    if not 1 <= i <= space.n - 1:
-        raise DomainError(f"generator index {i} outside [1, {space.n - 1}]")
-    charges = space.charges
-    dim, width = charges.shape
+def _tl_table(space: FusionSpace, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e_i for each index as (diag, partner, off), each (len(indices), dim):
+    e_i x = diag * x + off * x[partner], with partner the row itself where
+    there is none."""
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    if np.any((idx < 1) | (idx > space.n - 1)):
+        raise DomainError(f"generator index outside [1, {space.n - 1}]: {idx.tolist()}")
     w = np.asarray(space.model.weights, dtype=float)
-    # columns i-1, i, i+1 of the extended path (vacuum at both ends)
-    left = charges[:, i - 2].astype(np.int64) if i >= 2 else np.zeros(dim, dtype=np.int64)
-    mid = charges[:, i - 1].astype(np.int64)
-    right = charges[:, i].astype(np.int64) if i <= width - 1 else np.zeros(dim, dtype=np.int64)
-
-    rows = np.nonzero(left == right)[0]  # strands i, i+1 can fuse to the vacuum
-    vals = w[mid[rows]] / w[left[rows]]
+    ext = np.pad(space.charges, ((0, 0), (1, 1)))  # c_0..c_n, vacuum at both ends
+    left, mid, right = (ext[:, idx + shift].T.astype(np.int64) for shift in (-1, 0, 1))
+    fuse = left == right  # strands i, i+1 can fuse to the vacuum
+    diag = np.where(fuse, w[mid] / w[left], 0.0)
     # the partner path swaps steps i and i+1 (up-down <-> down-up), so its key
-    # differs in two adjacent bits; partners outside the truncated space are absent
-    at, found = space._find(space.keys[rows] ^ np.uint64(3 << (space.n - 1 - i)))
-    src, dst = rows[found], at[found]
-    offvals = np.sqrt(w[mid[src]] * w[mid[dst]]) / w[left[src]]
-    return sp.csr_matrix(
-        (np.concatenate([vals, offvals]), (np.concatenate([rows, dst]), np.concatenate([rows, src]))),
-        shape=(dim, dim),
+    # differs in two adjacent bits; flipping two equal steps would change the
+    # final charge, so only rows that fuse find one, and partners outside the
+    # truncated space are absent
+    flips = np.uint64(3) << (space.n - 1 - idx).astype(np.uint64)
+    at, found = space._find(space.keys[None, :] ^ flips[:, None])
+    partner = np.where(found, at, np.arange(space.dim))
+    mid_partner = np.take_along_axis(mid, partner, axis=1)
+    off = np.where(found, np.sqrt(w[mid] * w[mid_partner]) / w[left], 0.0)
+    return diag, partner, off
+
+
+def braid_table(space: FusionSpace, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """b_i = A * identity + A^-1 * e_i for each index as arrays
+    (diag, partner, off) of shape (len(indices), dim), with
+    b_i x = diag * x + off * x[partner].  Each row has at most one e_i
+    partner, so the form is exact."""
+    inv = 1 / space.model.A
+    diag, partner, off = _tl_table(space, indices)
+    return space.model.A + inv * diag, partner, inv * off
+
+
+def _table_csr(diag: np.ndarray, partner: np.ndarray, off: np.ndarray) -> sp.csr_matrix:
+    """The matrix of one (diag, partner, off) table row, with its nonzeros only."""
+    rows = np.arange(len(diag))
+    mat = sp.csr_matrix(
+        (np.concatenate([diag, off]), (np.tile(rows, 2), np.concatenate([rows, partner]))),
+        shape=(len(diag), len(diag)),
         dtype=complex,
     )
+    mat.eliminate_zeros()
+    return mat
+
+
+def tl_generator(space: FusionSpace, i: int) -> sp.csr_matrix:
+    """The diagram-algebra generator e_i on the fusion basis (Hermitian, e^2 = d e)."""
+    return _table_csr(*(part[0] for part in _tl_table(space, [i])))
 
 
 def braid_generator(space: FusionSpace, i: int) -> sp.csr_matrix:
     """Unitary braid matrix b_i = A * identity + A^-1 * e_i."""
-    if i in space._braid_cache:
-        return space._braid_cache[i]
-    a = space.model.A
-    e = tl_generator(space, i)
-    mat = (a * sp.identity(space.dim, dtype=complex, format="csr") + (1 / a) * e).tocsr()
-    space._braid_cache[i] = mat
-    return mat
+    if i not in space._braid_cache:
+        space._braid_cache[i] = _table_csr(*(part[0] for part in braid_table(space, [i])))
+    return space._braid_cache[i]
 
 
 # fixed blocks of the level-2 qubit representation

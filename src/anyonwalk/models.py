@@ -75,11 +75,13 @@ def build_su2k(k: int) -> AnyonModel:
     if k < 2:
         raise DomainError(f"level must be an integer >= 2, got {k}")
     nlab = k + 1
-    fusion = np.zeros((nlab, nlab, nlab), dtype=np.uint8)
-    for a in range(nlab):
-        for b in range(nlab):
-            for c in range(abs(a - b), min(a + b, 2 * k - a - b) + 1, 2):
-                fusion[a, b, c] = 1
+    # N[a][b][c] = 1 for c = |a-b|, |a-b|+2, ..., min(a+b, 2k-a-b); only the
+    # (a, b) bounds are integer arrays, the (k+1)^3 temporaries are boolean
+    q = np.arange(nlab)
+    a, b, c = q[:, None], q[None, :], q[None, None, :]
+    lo = np.abs(a - b)[..., None]
+    hi = np.minimum(a + b, 2 * k - a - b)[..., None]
+    fusion = ((c >= lo) & (c <= hi) & (c % 2 == ((a + b) % 2)[..., None])).view(np.uint8)
     d = 2.0 * math.cos(math.pi / (k + 2))
     # A = i * exp(i*pi / (2(k+2))) = exp(i*pi * (k+3) / (2(k+2)))
     a_angle = Fraction(k + 3, 2 * (k + 2))

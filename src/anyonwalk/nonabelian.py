@@ -11,7 +11,9 @@ Two engines compute P(s, t):
 
 * ``distribution_dense`` evolves the coin x position x fusion state on the
   reachable sites and on the fusion paths the walk can reach, a few hundred
-  paths at t=12 where the full space has up to 10^5.
+  paths at t=12 where the full space has up to 10^5.  Each step is a few
+  numpy calls: the coin toss and one gather-multiply with the braid table
+  for each direction, over all sites at once.
 * ``distribution_pathsum`` evolves the same walk on planar cup diagrams: each
   site and coin holds a map from diagrams to coefficients, a braid letter
   acts by the skein relation b_i = A + A^-1 e_i, and P(s) is the plat-closure
@@ -37,7 +39,8 @@ import numpy as np
 from .distribution import Distribution, coin_matrix
 from .errors import BoundaryError, DomainError, NumericError
 from .fusion import (
-    braid_generator,
+    braid_generator,  # noqa: F401  (perfbench's tracer wraps this name)
+    braid_table,
     check_state_budget,
     enumerate_fusion_basis,  # noqa: F401  (perfbench's tracer wraps this name)
     fusion_dimension,
@@ -256,7 +259,8 @@ def distribution_pathsum(
 
 
 # A representation returns the full fusion dimension, the dimension it
-# evolves, the start vector and the braid generator of each strand pair.
+# evolves, the start vector and the braid table (diag, partner, off) of the
+# generators s0 - t .. s0 + t - 1, the only ones a t-step walk applies.
 
 
 def _fusion_rep(model: AnyonModel, n: int, s0: int, t: int):
@@ -264,25 +268,25 @@ def _fusion_rep(model: AnyonModel, n: int, s0: int, t: int):
     full = fusion_dimension(model, n)
     check_state_budget(n, full)
     space = reachable_fusion_space(model, n, s0, t)
-    alpha = vacuum_pair_state(space)
-    return full, space.dim, alpha, lambda i: braid_generator(space, i)
+    return full, space.dim, vacuum_pair_state(space), braid_table(space, range(s0 - t, s0 + t))
 
 
-def _qubit_rep(model: AnyonModel, n: int):
+def _qubit_rep(model: AnyonModel, n: int, s0: int, t: int):
     if model.k != 2:
         raise DomainError("the qubit representation only exists for su2k:2")
     dim = 2 ** (n // 2 - 1)
     check_state_budget(n, dim)
     alpha = np.zeros(dim, dtype=complex)
     alpha[0] = 1.0
-    cache: dict[int, np.ndarray] = {}
-
-    def gen(i: int) -> np.ndarray:
-        if i not in cache:
-            cache[i] = su22_qubit_generator(n, i)
-        return cache[i]
-
-    return dim, dim, alpha, gen
+    rows = []
+    for i in range(s0 - t, s0 + t):
+        gen = su22_qubit_generator(n, i)
+        diag = gen.diagonal().copy()
+        np.fill_diagonal(gen, 0)
+        # every row has at most one off-diagonal entry, as in the fusion basis
+        partner = np.where(gen.any(axis=1), (gen != 0).argmax(axis=1), np.arange(dim))
+        rows.append((diag, partner, gen[np.arange(dim), partner]))
+    return dim, dim, alpha, tuple(np.array(part) for part in zip(*rows))
 
 
 def distribution_dense(
@@ -298,30 +302,38 @@ def distribution_dense(
     Only the reachable sites are stored: after r steps, block j of the state
     is the (2, dim) coin x fusion amplitude at site s0 - r + 2j.  The fusion
     representation holds only the paths the walk can reach
-    (``reachable_fusion_space``); the qubit one holds the whole space.  The
-    meta reports both sizes as ``fusion_dim`` and ``reachable_dim``, and the
-    final ``norm_drift`` |1 - sum P|.
+    (``reachable_fusion_space``); the qubit one holds the whole space.  Each
+    step tosses the coin and applies every site's generator at once, as
+    diag * x + off * x[partner] gathered over the sites.  The meta reports
+    both sizes as ``fusion_dim`` and ``reachable_dim``, the ``generators``
+    built and their ``generator_nnz``, and the final ``norm_drift`` |1 - sum P|.
     """
     geom = WalkGeometry.for_steps(t) if geom is None else geom
     geom.check_steps(t)
     n, s0 = geom.n, geom.s0
     if representation == "fusion":
-        full, dim, alpha, gen = _fusion_rep(model, n, s0, t)
+        full, dim, alpha, (diag, partner, off) = _fusion_rep(model, n, s0, t)
     elif representation == "qubit":
-        full, dim, alpha, gen = _qubit_rep(model, n)
+        full, dim, alpha, (diag, partner, off) = _qubit_rep(model, n, s0, t)
     else:
         raise DomainError(f"unknown representation {representation!r}")
     c = coin_matrix(coin)
     psi = np.array([1, 0], dtype=complex) if psi is None else np.asarray(psi, dtype=complex)
 
+    def braid(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        # row j of x braided by table row g[j]
+        return diag[g] * x + off[g] * np.take_along_axis(x, partner[g], axis=1)
+
     state = (psi[:, None] * alpha[None, :])[None]
     for r in range(t):
         tossed = np.einsum("ij,sjd->sid", c, state)
-        # site s = s0 - r + 2j sends coin 0 to new block j and coin 1 to block j + 1
+        # site s = s0 - r + 2j sends coin 0 through generator s - 1 to new
+        # block j and coin 1 through generator s to block j + 1; table row g
+        # holds generator s0 - t + g
+        g = np.arange(t - r, t + r + 1, 2)
         state = np.zeros((r + 2, 2, dim), dtype=complex)
-        for j, s in enumerate(range(s0 - r, s0 + r + 1, 2)):
-            state[j, 0] = gen(s - 1) @ tossed[j, 0]
-            state[j + 1, 1] = gen(s) @ tossed[j, 1]
+        state[:-1, 0] = braid(tossed[:, 0], g - 1)
+        state[1:, 1] = braid(tossed[:, 1], g)
     positions = tuple(range(s0 - t, s0 + t + 1, 2))
     probs = np.array([float(np.sum(np.abs(block) ** 2)) for block in state])
     return Distribution(
@@ -337,6 +349,8 @@ def distribution_dense(
             "coin": coin if isinstance(coin, str) else "custom",
             "fusion_dim": full,
             "reachable_dim": dim,
+            "generators": len(diag),
+            "generator_nnz": int(np.count_nonzero(diag) + np.count_nonzero(off)),
             "norm_drift": abs(1.0 - float(probs.sum())),
         },
     )

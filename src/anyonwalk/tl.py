@@ -217,16 +217,19 @@ def _loop_weight(at: complex | None):
     return -(at**2) - at**-2
 
 
-def skein_act(vec: dict[Matching, object], i: int, ca, cb, delta) -> dict[Matching, object]:
+def skein_act(
+    vec: dict[Matching, object], i: int, ca, cb, delta, out: dict[Matching, object] | None = None
+) -> dict[Matching, object]:
     """Apply ca + cb*e_i to {planar matching: coefficient} at points (i-1, i).
 
     e_i closes a loop (weight cb*delta) on a matching that already joins the
     two points, and otherwise joins them and their former partners.
-    Coefficients may be complex or LaurentPoly; zeros are kept.
+    Coefficients may be complex or LaurentPoly; zeros are kept.  The terms
+    are added into ``out`` if given, else into a new map.
     """
     p, q = i - 1, i
     loop = cb * delta
-    out: dict[Matching, object] = {}
+    out = {} if out is None else out
     for diag, coeff in vec.items():
         if diag[p] == q:
             capped, weight = diag, loop
@@ -248,13 +251,19 @@ def _evolve(start: Matching, letters, at: complex | None) -> dict[Matching, obje
     cap = _catalan(len(start) // 2)
     for step, letter in enumerate(letters, 1):
         ca, cb = (a, a_inv) if letter > 0 else (a_inv, a)
-        vec = skein_act(vec, abs(letter), ca, cb, delta)
+        if 2 * len(vec) <= BRACKET_MAX_SUPPORT:  # a letter at most doubles the support
+            vec = skein_act(vec, abs(letter), ca, cb, delta)
+        else:  # one diagram at a time, so the refusal comes before the map outgrows the budget
+            out: dict[Matching, object] = {}
+            for diag, coeff in vec.items():
+                skein_act({diag: coeff}, abs(letter), ca, cb, delta, out)
+                if len(out) > BRACKET_MAX_SUPPORT:
+                    raise DomainError(
+                        f"skein expansion holds {len(out)} diagrams after {step} letters, "
+                        f"over the budget of {BRACKET_MAX_SUPPORT}"
+                    )
+            vec = out
         vec = {m: c for m, c in vec.items() if not _is_zero(c)}
-        if len(vec) > BRACKET_MAX_SUPPORT:
-            raise DomainError(
-                f"skein expansion holds {len(vec)} diagrams after {step} letters, "
-                f"over the budget of {BRACKET_MAX_SUPPORT}"
-            )
         assert len(vec) <= cap, "diagram support exceeded the Catalan bound"
     return vec
 

@@ -2,16 +2,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from anyonwalk.errors import DomainError
 from anyonwalk.fusion import (
     braid_generator,
+    braid_table,
     enumerate_fusion_basis,
+    fusion_dimension,
+    reachable_fusion_space,
     su22_qubit_generator,
     tl_generator,
     vacuum_pair_state,
 )
 from anyonwalk.models import build_su2k
+from anyonwalk.nonabelian import WalkGeometry
 from anyonwalk.tl import BraidWord, plat_bracket
 
 
@@ -247,3 +252,106 @@ def test_vacuum_sandwich_equals_plat_bracket(k, n):
         lhs = alpha.conj() @ mat @ alpha
         rhs = plat_bracket(BraidWord(n, letters), at=m.A) / m.d ** (n // 2 - 1)
         assert abs(lhs - rhs) < 1e-10
+
+
+def csr_braid_oracle(space, i):
+    """b_i = A * identity + A^-1 * e_i as first built: e_i as a scipy CSR
+    matrix from its diagonal and partner entries, added to the identity."""
+    charges = space.charges
+    dim, width = charges.shape
+    w = np.asarray(space.model.weights, dtype=float)
+    left = charges[:, i - 2].astype(np.int64) if i >= 2 else np.zeros(dim, dtype=np.int64)
+    mid = charges[:, i - 1].astype(np.int64)
+    right = charges[:, i].astype(np.int64) if i <= width - 1 else np.zeros(dim, dtype=np.int64)
+    rows = np.nonzero(left == right)[0]
+    vals = w[mid[rows]] / w[left[rows]]
+    at, found = space._find(space.keys[rows] ^ np.uint64(3 << (space.n - 1 - i)))
+    src, dst = rows[found], at[found]
+    offvals = np.sqrt(w[mid[src]] * w[mid[dst]]) / w[left[src]]
+    e = sp.csr_matrix(
+        (np.concatenate([vals, offvals]), (np.concatenate([rows, dst]), np.concatenate([rows, src]))),
+        shape=(dim, dim),
+        dtype=complex,
+    )
+    a = space.model.A
+    return (a * sp.identity(dim, dtype=complex, format="csr") + (1 / a) * e).tocsr()
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_braid_table_matches_the_csr_oracle(k):
+    rng = np.random.default_rng(k)
+    for n in range(4, 13, 2):
+        space = enumerate_fusion_basis(build_su2k(k), n)
+        diag, partner, off = braid_table(space, range(1, n))
+        x = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        for row, i in enumerate(range(1, n)):
+            want = csr_braid_oracle(space, i)
+            mat = np.diag(diag[row])
+            mat[np.arange(space.dim), partner[row]] += off[row]
+            assert np.array_equal(mat, want.toarray())
+            assert np.array_equal(braid_generator(space, i).toarray(), want.toarray())
+            assert braid_generator(space, i).nnz == want.nnz
+            got = diag[row] * x + off[row] * x[partner[row]]
+            assert np.max(np.abs(got - want @ x)) <= 1e-15
+            # at most one partner per row, and partners come in pairs
+            moved = partner[row] != np.arange(space.dim)
+            assert np.array_equal(partner[row][partner[row]], np.arange(space.dim))
+            assert np.array_equal(moved, off[row] != 0)
+    with pytest.raises(DomainError):
+        braid_table(space, [0, 1])
+
+
+def reachable_by_site_oracle(model, n, s0, t):
+    """The reachable pass as first written: paths kept per site and
+    deduplicated with one np.unique(axis=0) per site and step."""
+    top = len(model.labels) - 1
+    start = np.array([[model.sigma if j % 2 else model.vacuum for j in range(n + 1)]])
+
+    def braided(paths, i):
+        left, mid, right = paths[:, i - 1], paths[:, i], paths[:, i + 1]
+        partner = 2 * left - mid
+        keep = (left == right) & (partner >= 0) & (partner <= top)
+        moved = paths[keep]
+        moved[:, i] = partner[keep]
+        return np.concatenate([paths, moved])
+
+    sites = {s0: start}
+    for _ in range(t):
+        arrivals = {}
+        for s, paths in sites.items():
+            arrivals.setdefault(s - 1, []).append(braided(paths, s - 1))
+            arrivals.setdefault(s + 1, []).append(braided(paths, s))
+        sites = {s: np.unique(np.concatenate(group), axis=0) for s, group in arrivals.items()}
+    return np.unique(np.concatenate(list(sites.values())), axis=0)[:, 1:-1]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 11, 21, 80])
+def test_reachable_pass_matches_the_per_site_oracle(k):
+    model = build_su2k(k)
+    # (12, 6) and (16, 8) start the walker misaligned with its vacuum pair
+    cases = [(WalkGeometry.for_steps(t), t) for t in range(1, 14)]
+    for geom in (WalkGeometry(12, 6), WalkGeometry(14, 9), WalkGeometry(16, 8)):
+        cases += [(geom, t) for t in range(1, min(geom.s0 - 1, geom.n - 1 - geom.s0) + 1)]
+    for geom, t in cases:
+        space = reachable_fusion_space(model, geom.n, geom.s0, t)
+        assert space.charges.dtype == np.uint8
+        assert np.array_equal(space.charges, reachable_by_site_oracle(model, geom.n, geom.s0, t))
+
+
+def untrimmed_dimension(model, n):
+    """The path count over every label of the model, however high."""
+    nlab = len(model.labels)
+    reach = np.zeros((nlab, n + 1), dtype=object)
+    reach[model.vacuum, 0] = 1
+    step_to = [model.fusion_outcomes(q, model.sigma) for q in range(nlab)]
+    for r in range(1, n + 1):
+        for q in range(nlab):
+            reach[q, r] = sum(reach[c, r - 1] for c in step_to[q])
+    return int(reach[model.sigma, n - 1])
+
+
+def test_dimension_counts_only_labels_the_paths_can_reach():
+    for k in (2, 3, 4, 7, 11, 20, 21, 22, 40, 80):
+        model = build_su2k(k)
+        for n in range(4, 43, 2):
+            assert fusion_dimension(model, n) == untrimmed_dimension(model, n)

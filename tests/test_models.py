@@ -33,6 +33,19 @@ def test_loop_value_identity(k):
     assert abs(abs(a) - 1.0) < 1e-12
 
 
+def test_fusion_tensor_matches_the_triple_loop():
+    for k in range(2, 81):
+        nlab = k + 1
+        expected = np.zeros((nlab, nlab, nlab), dtype=np.uint8)
+        for a in range(nlab):
+            for b in range(nlab):
+                for c in range(abs(a - b), min(a + b, 2 * k - a - b) + 1, 2):
+                    expected[a, b, c] = 1
+        fusion = build_su2k(k).fusion
+        assert fusion.dtype == np.uint8
+        assert np.array_equal(fusion, expected)
+
+
 def test_invalid_level_rejected():
     with pytest.raises(DomainError):
         build_su2k(1)

@@ -3,7 +3,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +11,11 @@ from anyonwalk.distribution import baseline_classical, baseline_quantum, distanc
 from anyonwalk.errors import BoundaryError, DomainError, NumericError
 from anyonwalk.fusion import (
     braid_generator,
+    braid_table,
     enumerate_fusion_basis,
     fusion_dimension,
+    reachable_fusion_space,
+    su22_qubit_generator,
     vacuum_pair_state,
 )
 from anyonwalk.models import build_su2k
@@ -140,10 +142,12 @@ def test_support_and_positivity():
 
 
 def test_trivial_braiding_reduces_to_standard_walk(monkeypatch):
-    def identity(space, i):
-        return sp.identity(space.dim, dtype=complex, format="csr")
+    def identity(space, indices):
+        shape = (len(indices), space.dim)
+        partner = np.broadcast_to(np.arange(space.dim), shape)
+        return np.ones(shape, dtype=complex), partner, np.zeros(shape, dtype=complex)
 
-    monkeypatch.setattr(nonabelian, "braid_generator", identity)
+    monkeypatch.setattr(nonabelian, "braid_table", identity)
     model = build_su2k(5)
     for t, coin in ((3, "H"), (4, "U")):
         dist = distribution_dense(model, None, t, coin=coin)
@@ -152,32 +156,29 @@ def test_trivial_braiding_reduces_to_standard_walk(monkeypatch):
 
 
 def test_dense_walk_braids_only_reachable_sites(monkeypatch):
-    # after r steps r + 1 sites are occupied, each braiding once per coin state
-    products = []
+    # a t-step walk from s0 braids strands s0 - t .. s0 + t only, so it needs
+    # exactly the 2t generators s0 - t .. s0 + t - 1, each built once
+    built = []
 
-    class Counting:
-        def __init__(self, mat):
-            self.mat = mat
+    def recording(space, indices):
+        built.append(list(indices))
+        return braid_table(space, indices)
 
-        def __matmul__(self, vec):
-            products.append(1)
-            return self.mat @ vec
-
-    monkeypatch.setattr(
-        nonabelian, "braid_generator", lambda space, i: Counting(braid_generator(space, i))
-    )
+    monkeypatch.setattr(nonabelian, "braid_table", recording)
     model = build_su2k(3)
-    for t in (1, 2, 5, 8):
-        products.clear()
-        distribution_dense(model, None, t)
-        assert len(products) == t * (t + 1)
+    for geom, t in [(None, 1), (None, 2), (None, 5), (None, 8), (WalkGeometry(16, 8), 6)]:
+        built.clear()
+        meta = distribution_dense(model, geom, t).meta
+        s0 = meta["s0"]
+        assert built == [list(range(s0 - t, s0 + t))]
+        assert meta["generators"] == 2 * t
 
 
 def full_space_rep(model, n, s0, t):
     # the dense engine's representation before the reachable-path pass: every
     # admissible fusion path of n anyons, whatever the walk reaches
     space = enumerate_fusion_basis(model, n)
-    return space.dim, space.dim, vacuum_pair_state(space), lambda i: braid_generator(space, i)
+    return space.dim, space.dim, vacuum_pair_state(space), braid_table(space, range(s0 - t, s0 + t))
 
 
 def oracle_cases():
@@ -213,16 +214,47 @@ def test_reachable_paths_match_the_full_fusion_space(monkeypatch):
 def test_dense_walk_reports_its_sizes(k, t, n, reachable):
     model = build_su2k(k)
     geom = WalkGeometry.for_steps(t, n)
+    space = reachable_fusion_space(model, geom.n, geom.s0, t)
+    nnz = sum(braid_generator(space, i).nnz for i in range(geom.s0 - t, geom.s0 + t))
     for coin in ("H", "U"):
         meta = distribution_dense(model, geom, t, coin=coin).meta
         assert meta["reachable_dim"] == reachable
         assert meta["fusion_dim"] == fusion_dimension(model, geom.n)
+        assert meta["generators"] == 2 * t
+        assert meta["generator_nnz"] == nnz
         assert 0 <= meta["norm_drift"] < 1e-12
 
 
 def test_qubit_walk_reports_the_whole_space():
     meta = distribution_dense(build_su2k(2), None, 4, representation="qubit").meta
     assert meta["reachable_dim"] == meta["fusion_dim"] == 2 ** (10 // 2 - 1)
+    assert meta["generators"] == 8
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+def test_qubit_table_matches_the_qubit_generators(n):
+    model = build_su2k(2)
+    # two start sites, so the tables cover every generator 1..n-1
+    for s0 in (n // 2, n // 2 + 1):
+        t = n // 2 - 1
+        dim, _, _, (diag, partner, off) = nonabelian._qubit_rep(model, n, s0, t)
+        for row, i in enumerate(range(s0 - t, s0 + t)):
+            mat = np.diag(diag[row])
+            mat[np.arange(dim), partner[row]] += off[row]
+            assert np.array_equal(mat, su22_qubit_generator(n, i))
+
+
+def test_the_walk_path_lists_no_basis_and_builds_no_csr_generator(monkeypatch):
+    # the full basis and the CSR generators serve dumps and oracles only
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on the walk path")
+
+    monkeypatch.setattr(nonabelian, "braid_generator", refuse)
+    monkeypatch.setattr(nonabelian, "enumerate_fusion_basis", refuse)
+    ks = list(range(2, 31)) + [40, 60, 80]
+    rows = nonabelian.sweep_distances(ks, t=10)
+    assert [k for k, _, _ in rows] == ks
+    assert min(rows, key=lambda row: row[2])[0] == 6
 
 
 @st.composite

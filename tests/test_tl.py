@@ -260,3 +260,31 @@ def test_oversized_skein_expansion_is_refused_as_it_grows(monkeypatch):
         markov_bracket(word)
     with pytest.raises(DomainError, match="over the budget of 8"):
         skein_expand(word)
+
+
+def test_refused_expansion_never_builds_past_the_budget(monkeypatch):
+    budget = 8
+    fits = BraidWord(8, (1, 3, 5, 1))  # 8 diagrams after the third letter, 8 after the fourth
+    expected = markov_bracket(fits)
+    monkeypatch.setattr(tl, "BRACKET_MAX_SUPPORT", budget)
+    sizes = []
+    act = tl.skein_act
+
+    def recording(vec, i, ca, cb, delta, out=None):
+        result = act(vec, i, ca, cb, delta, out)
+        sizes.append(len(result))
+        return result
+
+    monkeypatch.setattr(tl, "skein_act", recording)
+    word = BraidWord(8, (1, 2, 3, 4, 5, 6, 7))
+    for bracket in (markov_bracket, skein_expand):
+        sizes.clear()
+        with pytest.raises(DomainError, match="over the budget of 8"):
+            bracket(word)
+        # a map is refused as soon as it passes the budget, and one input
+        # diagram adds at most two to it
+        assert budget < max(sizes) <= budget + 2
+    # a letter applied to a map over half the budget that stays within it
+    sizes.clear()
+    assert markov_bracket(fits) == expected
+    assert max(sizes) == budget
