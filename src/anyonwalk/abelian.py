@@ -12,14 +12,19 @@ whose eigenphases come in pairs +-beta_-(k), +-beta_+(k).
 
 Moments of the position distribution follow from the identity
 <s^m>_t = (1/2pi) int dk <psi| T_t^m |psi> with T_t = sum_{j<=t} S_j and
-S_j = (M_k^dag)^j Z_x M_k^j; the k-integral of these trigonometric
-polynomials is evaluated exactly by a uniform midpoint rule once the grid
-is finer than the polynomial degree 2mt.  The long-time linear and
-quadratic coefficients use the eigenbasis of M_k instead and drop the
-oscillatory cross terms: one batched eigendecomposition of the whole grid
-gives each eigenvector's weight in the initial spin and its velocity
-<Z_x>.  Grid points whose smallest eigenvalue gap is below 1e-8 have no
-well-defined eigenbasis; they are left out of the mean, with a warning.
+S_j = (M_k^dag)^j Z_x M_k^j.  No operator is formed: the spinors
+psi_j = M_k^j psi and a_j = M_k a_{j-1} + Z_x psi_j = M_k^j T_j psi advance
+by one grid-wide 4x4 product each per step, and since M_k is unitary
+<T_t> = <psi_t|a_t> and <T_t^2> = |a_t|^2.  The k-integral of these
+trigonometric polynomials is evaluated exactly by a uniform midpoint rule
+once the grid is finer than the polynomial degree 2mt.  The long-time
+linear and quadratic coefficients use the eigenbasis of M_k instead and
+drop the oscillatory cross terms: a batched eigendecomposition gives each
+eigenvector's weight in the initial spin and its velocity <Z_x>.  Every
+move is +-1, so M_{k+pi} = -M_k has the eigenvectors of M_k, and an even
+grid is diagonalized on its first half.  Grid points whose smallest
+eigenvalue gap is below 1e-8 have no well-defined eigenbasis; they are
+left out of the mean, with a warning.
 
 Every function taking an initial spin refuses one that is not a normalized
 vector of its coin's dimension, 4 (2 for ``two_state_coefficients``).
@@ -33,13 +38,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import Distribution, baseline_quantum
+from .distribution import Distribution, baseline_quantum, check_steps
 from .errors import DomainError, NumericError
 
 _C2 = np.array([[1, 1j], [1j, 1]], dtype=complex) / math.sqrt(2)
 COIN4 = np.kron(_C2, _C2)  # exp(i pi/4 (X_x + X_y))
 _MOVES = np.array([1.0, 1.0, -1.0, -1.0])  # x-state 0 steps up, x-state 1 down
-Z_X = np.diag(_MOVES).astype(complex)
 
 DEFAULT_GRID = 1024
 
@@ -108,6 +112,7 @@ def abelian_step(state: SpinorField, phi: float) -> SpinorField:
 
 
 def simulate(phi: float, t: int, initial_spin: np.ndarray | None = None) -> SpinorField:
+    check_steps(t)
     state = SpinorField.localized(_initial_spin(initial_spin))
     for _ in range(t):
         state = abelian_step(state, phi)
@@ -175,32 +180,38 @@ def moments_analytic(
             f"k-grid of {grid} points cannot integrate a degree-{2 * m * t} integrand exactly"
         )
     psi = _initial_spin(initial_spin)
-    ms = _momentum_operators(phi, _k_grid(grid))
-    mdag = ms.conj().transpose(0, 2, 1)
-    s_j = np.broadcast_to(Z_X, ms.shape).copy()
-    total = np.zeros_like(ms)
+    coin = (phase_operator(phi) @ COIN4).T  # rows: psi @ coin = A psi
+    shift = np.exp(-1j * np.outer(_k_grid(grid), _MOVES))  # M_k = diag(shift[k]) A
+    spinor = np.broadcast_to(psi, (grid, 4))
+    sheet = np.zeros((grid, 4), dtype=complex)  # a_j = M_k^j T_j psi
     for _ in range(t):
-        s_j = mdag @ s_j @ ms
-        total += s_j
-    op = total if m == 1 else total @ total
-    values = np.einsum("i,kij,j->k", psi.conj(), op, psi)
-    return float(np.mean(values).real)
+        spinor = (spinor @ coin) * shift
+        sheet = (sheet @ coin) * shift + spinor * _MOVES
+    # <T_t> = <M^t psi|M^t T_t psi> and <T_t^2> = |T_t psi|^2, M_k being unitary
+    return float(np.vdot(spinor if m == 1 else sheet, sheet).real / grid)
 
 
 def _long_time_coefficients(
-    ms: np.ndarray, psi: np.ndarray, moves: np.ndarray
+    coin: np.ndarray, psi: np.ndarray, moves: np.ndarray, grid: int
 ) -> tuple[float, float]:
     """Grid means (c1, c2) of sum_l w_l v_l and sum_l w_l v_l^2 over the eigenvectors
-    |l> of each matrix in ``ms``: w_l = |<l|psi>|^2, v_l = <l|diag(moves)|l>."""
-    lam, vecs = np.linalg.eig(ms)
+    |l> of M_k = diag(exp(-i k moves)) @ coin: w_l = |<l|psi>|^2, v_l = <l|diag(moves)|l>.
+
+    ``moves`` are +-1, so M_{k+pi} = -M_k: an even grid is diagonalized on its
+    first half, each point standing for itself and its partner k + pi.
+    """
+    ks = _k_grid(grid)
+    fold = 2 if grid % 2 == 0 else 1
+    lam, vecs = np.linalg.eig(_shifted(coin, ks[: grid // fold], moves))
     gaps = np.abs(lam[:, :, None] - lam[:, None, :]) + np.eye(lam.shape[1])
     keep = gaps.min(axis=(1, 2)) >= 1e-8
     used = int(np.count_nonzero(keep))
     if used == 0:
         raise NumericError("all grid points sit on eigenvalue crossings")
-    if used < len(ms):
+    if used < len(lam):
         warnings.warn(
-            f"excluded {len(ms) - used} near-degenerate momentum grid points", stacklevel=3
+            f"excluded {fold * (len(lam) - used)} near-degenerate momentum grid points",
+            stacklevel=3,
         )
     vecs = vecs[keep]
     weights = np.abs(np.einsum("kil,i->kl", vecs.conj(), psi)) ** 2
@@ -215,12 +226,13 @@ def asymptotic_coefficients(
 ) -> tuple[float, float]:
     """Long-time coefficients (c1, c2) with <s>_t ~ c1 t and <s^2>_t ~ c2 t^2.
 
-    One batched eigendecomposition covers the grid; points whose smallest
-    eigenvalue gap is below 1e-8 are excluded with a warning, and the mean
-    runs over the rest (``NumericError`` if none is left).
+    One batched eigendecomposition covers the grid (its first half when the
+    grid is even); points whose smallest eigenvalue gap is below 1e-8 are
+    excluded with a warning, and the mean runs over the rest
+    (``NumericError`` if none is left).
     """
     psi = _initial_spin(initial_spin)
-    return _long_time_coefficients(_momentum_operators(phi, _k_grid(grid)), psi, _MOVES)
+    return _long_time_coefficients(phase_operator(phi) @ COIN4, psi, _MOVES, grid)
 
 
 def asymptotic_variance_coefficient(
@@ -234,12 +246,8 @@ def two_state_coefficients(
     coin: np.ndarray, psi: np.ndarray, grid: int = DEFAULT_GRID
 ) -> tuple[float, float]:
     """Same long-time coefficients for a plain two-state coined walk."""
-    moves = np.array([1.0, -1.0])
-    return _long_time_coefficients(
-        _shifted(np.asarray(coin, dtype=complex), _k_grid(grid), moves),
-        _normalized(psi, 2),
-        moves,
-    )
+    coin, psi = np.asarray(coin, dtype=complex), _normalized(psi, 2)
+    return _long_time_coefficients(coin, psi, np.array([1.0, -1.0]), grid)
 
 
 def product_walk_variance(phi: float, t: int, initial_spin: np.ndarray | None = None) -> float:
@@ -273,6 +281,7 @@ def variance_surface(
         raise DomainError("phi and t grids must be nonempty")
     if t_grid[0] < 1:
         raise DomainError(f"step counts must be >= 1, got {t_grid[0]}")
+    check_steps(t_grid[-1])
     spin = _initial_spin(initial_spin)
     rows: list[tuple[int, float, float, float | None]] = []
     for phi in phi_grid:

@@ -17,6 +17,21 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 
+#: most steps a position-space walk may take.  Cost grows as t^2: at this bound
+#: ``baseline quantum``, ``baseline classical`` (exact binomials, a 4.3 MB JSON
+#: payload) and ``abelian variance`` each run in under 1 s on a 2-core VM; at
+#: t = 10 000 they take 6.8 s, 19 s and 6.6 s.
+MAX_STEPS = 2000
+
+
+def check_steps(t: int) -> None:
+    """Refuse a step count that is negative or above ``MAX_STEPS``."""
+    if t < 0:
+        raise DomainError("step count must be nonnegative")
+    if t > MAX_STEPS:
+        raise DomainError(f"{t} steps exceed the position-space walk limit of {MAX_STEPS}")
+
+
 COINS: dict[str, np.ndarray] = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
     "U": np.array([[1, 1j], [1j, 1]], dtype=complex) / math.sqrt(2),
@@ -86,8 +101,7 @@ def baseline_quantum(
     t: int, coin: str | np.ndarray = "H", psi: np.ndarray | None = None
 ) -> Distribution:
     """Standard two-state coined walk on the line, started at the origin."""
-    if t < 0:
-        raise DomainError("step count must be nonnegative")
+    check_steps(t)
     c = coin_matrix(coin)
     psi = np.array([1, 0], dtype=complex) if psi is None else np.asarray(psi, dtype=complex)
     state = np.zeros((2 * t + 1, 2), dtype=complex)  # index = position + t
@@ -109,8 +123,7 @@ def baseline_quantum(
 
 def baseline_classical(t: int) -> Distribution:
     """Unbiased classical random walk: binomial over positions of parity t."""
-    if t < 0:
-        raise DomainError("step count must be nonnegative")
+    check_steps(t)
     exact = [Fraction(math.comb(t, j), 2**t) for j in range(t + 1)]
     positions = tuple(2 * j - t for j in range(t + 1))
     return Distribution(

@@ -278,6 +278,64 @@ def test_two_state_crossings_get_the_four_state_guards():
     assert (c1, c2) == pytest.approx((1.0, 1.0), abs=1e-14)
 
 
+def test_half_period_crossing_pair_is_excluded_twice():
+    # diag(1, i) is degenerate at k = -pi/4 and 3pi/4, a k/k+pi pair of the 4-point grid
+    with pytest.warns(UserWarning, match="excluded 2 near-degenerate momentum grid points"):
+        c1, c2 = two_state_coefficients(np.diag([1, 1j]), [1, 0], grid=4)
+    assert (c1, c2) == pytest.approx((1.0, 1.0), abs=1e-14)
+
+
+@pytest.mark.parametrize("grid,diagonalized", [(1024, 512), (1025, 1025)])
+def test_even_grid_diagonalizes_its_first_half(grid, diagonalized, monkeypatch):
+    eig = np.linalg.eig
+    sizes = []
+
+    def spy(mats):
+        sizes.append(len(mats))
+        return eig(mats)
+
+    monkeypatch.setattr(np.linalg, "eig", spy)
+    asymptotic_coefficients(0.7, grid=grid)
+    two_state_coefficients(_C2, [1, 0], grid=grid)
+    assert sizes == [diagonalized, diagonalized]
+
+
+def _reference_moment(phi, t, grid, spins):
+    """The operator loop the spinor recurrence replaced: T_t = sum_j S_j with
+    S_j = M^-j Z_x M^j, giving ([<psi|T_t|psi>], [<psi|T_t^2|psi>]) over ``spins``."""
+    ms = np.array([_reference_step(phi, k) for k in _midpoints(grid)])
+    mdag = ms.conj().transpose(0, 2, 1)
+    s_j = np.broadcast_to(np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex), ms.shape).copy()
+    total = np.zeros_like(ms)
+    for _ in range(t):
+        s_j = mdag @ s_j @ ms
+        total += s_j
+    return [
+        [float(np.mean(np.einsum("i,kij,j->k", psi.conj(), op, psi)).real) for psi in spins]
+        for op in (total, total @ total)
+    ]
+
+
+@pytest.mark.parametrize("t", [1, 7, 60])
+@pytest.mark.parametrize("phi", [0.0, 0.7, math.pi / 2, 2.2])
+def test_moments_match_the_operator_loop(phi, t):
+    spins = _oracle_spins()
+    for m in (1, 2):
+        for grid in (2 * m * t + 1, 1024):
+            expected = _reference_moment(phi, t, grid, spins)[m - 1]
+            for spin, ref in zip(spins, expected):
+                got = moments_analytic(phi, t, m, spin, grid)
+                assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0), (m, grid, spin)
+
+
+def test_moments_match_direct_simulation_for_a_complex_spin():
+    spin = _oracle_spins()[2]
+    d = simulate_distribution(0.7, 30, spin)
+    for m in (1, 2):
+        ref = d.moment(m)
+        assert abs(moments_analytic(0.7, 30, m, spin) - ref) <= 1e-10 * max(abs(ref), 1.0)
+
+
 @pytest.mark.parametrize("grid", [0, -4])
 def test_empty_momentum_grid_is_a_domain_error(grid):
     with pytest.raises(DomainError, match="at least 1 point"):

@@ -7,7 +7,7 @@ import pytest
 
 import anyonwalk.nonabelian as nonabelian
 from anyonwalk.cli import _parse_floats, build_parser, dispatch, main
-from anyonwalk.distribution import Distribution
+from anyonwalk.distribution import MAX_STEPS, Distribution
 from anyonwalk.errors import DomainError, NumericError
 
 
@@ -259,3 +259,25 @@ def test_oversized_walk_is_refused_before_allocating(argv, capsys):
     assert "Traceback" not in err
     # one short line, naming no huge integer
     assert err.startswith("error:") and len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["abelian", "variance", "--phi", "0", "--t", "100000000"],
+        ["baseline", "classical", "--t", "100000000"],
+        ["baseline", "quantum", "--t", "100000000"],
+        ["baseline", "quantum", "--t", str(MAX_STEPS + 1)],
+    ],
+)
+def test_overlong_position_walk_is_refused_before_stepping(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "limit of" in err and "Traceback" not in err
+
+
+def test_longest_position_walk_runs():
+    env = run(["baseline", "quantum", "--t", str(MAX_STEPS)])
+    assert len(env.payload["rows"]) == MAX_STEPS + 1
