@@ -18,13 +18,14 @@ by one grid-wide 4x4 product each per step, and since M_k is unitary
 <T_t> = <psi_t|a_t> and <T_t^2> = |a_t|^2.  The k-integral of these
 trigonometric polynomials is evaluated exactly by a uniform midpoint rule
 once the grid is finer than the polynomial degree 2mt.  The long-time
-linear and quadratic coefficients use the eigenbasis of M_k instead and
-drop the oscillatory cross terms: a batched eigendecomposition gives each
-eigenvector's weight in the initial spin and its velocity <Z_x>.  Every
+coefficients drop the oscillatory cross terms and need each eigenvector's
+weight in the initial spin and its velocity <Z_x>.  No eigensolver runs: the
+eigenvalues have the closed form of ``eigenphase_pair`` and M_k is normal,
+so each spectral projector is a product of shifted copies of M_k.  Every
 move is +-1, so M_{k+pi} = -M_k has the eigenvectors of M_k, and an even
-grid is diagonalized on its first half.  Grid points whose smallest
-eigenvalue gap is below 1e-8 have no well-defined eigenbasis; they are
-left out of the mean, with a warning.
+grid is evaluated on its first half.  Grid points whose smallest eigenvalue
+gap is below 1e-8 have no well-defined eigenbasis; they are left out, with
+a warning.
 
 Every function taking an initial spin refuses one that is not a normalized
 vector of its coin's dimension, 4 (2 for ``two_state_coefficients``).
@@ -46,6 +47,10 @@ COIN4 = np.kron(_C2, _C2)  # exp(i pi/4 (X_x + X_y))
 _MOVES = np.array([1.0, 1.0, -1.0, -1.0])  # x-state 0 steps up, x-state 1 down
 
 DEFAULT_GRID = 1024
+#: most walk steps (angles times the largest t) one variance surface may take, which
+#: also bounds its rows; at the bound, one angle over t = 1..2000 takes 0.4 s through
+#: the CLI and 2000 angles at t = 1 with --analytic 2.4 s (2-core VM)
+MAX_SURFACE_STEPS = 2000
 
 
 def default_spin() -> np.ndarray:
@@ -137,13 +142,24 @@ def momentum_operator(phi: float, k: float) -> np.ndarray:
     return _momentum_operators(phi, np.array([k]))[0]
 
 
-def eigenphase_pair(phi: float, k: float) -> tuple[float, float]:
-    """(beta_-, beta_+): the eigenphases of M_k are exp(-+ i beta_-+)."""
-    root = math.sqrt((math.cos(phi) ** 2 - 2.0) * math.cos(k) ** 2 + 2.0)
-    ck = math.cos(k) * math.cos(phi)
-    beta_minus = math.acos(min(1.0, max(-1.0, (ck - root) / 2.0)))
-    beta_plus = math.acos(min(1.0, max(-1.0, (ck + root) / 2.0)))
-    return beta_minus, beta_plus
+def eigenphase_pair(phi: float, k: float | np.ndarray):
+    """(beta_-, beta_+), elementwise over momenta ``k``: M_k has eigenvalues
+    exp(+-i beta_-+), where cos beta_-+ = (a -+ r)/2, a = cos k cos phi and
+    r^2 = a^2 + 2 sin^2 k.  Nothing cancels near a crossing: the root x of larger
+    modulus has 1 - |x| = ((|cos k| - |cos phi|)^2 + sin^2 phi) / (2 - |a| + r),
+    with 1 - |cos t| = 2 sin^2(t/2) or 2 cos^2(t/2), and the other root is
+    -sin^2 k / (2x)."""
+    vk, vphi = (2 * np.where(np.cos(t) >= 0, np.sin(t / 2), np.cos(t / 2)) ** 2 for t in (k, phi))
+    ck, sk = np.cos(k), np.sin(k)
+    a = ck * math.cos(phi)
+    root = np.sqrt(a * a + 2.0 * sk * sk)
+    big = np.copysign(np.abs(a) + root, a) / 2.0
+    defect = ((vphi - vk) ** 2 + math.sin(phi) ** 2) / (2.0 - np.abs(a) + root)
+    small = -sk * sk / (2.0 * big)
+    beta_big = np.arctan2(np.sqrt(defect * (2.0 - defect)), big)
+    beta_small = np.arctan2(np.sqrt(1.0 - small * small), small)
+    flip = np.signbit(a)  # the larger root is x_- where a < 0
+    return np.where(flip, beta_big, beta_small)[()], np.where(flip, beta_small, beta_big)[()]
 
 
 def _k_grid(grid: int) -> np.ndarray:
@@ -192,31 +208,41 @@ def moments_analytic(
 
 
 def _long_time_coefficients(
-    coin: np.ndarray, psi: np.ndarray, moves: np.ndarray, grid: int
+    coin: np.ndarray, psi: np.ndarray, moves: np.ndarray, grid: int, spectrum
 ) -> tuple[float, float]:
     """Grid means (c1, c2) of sum_l w_l v_l and sum_l w_l v_l^2 over the eigenvectors
     |l> of M_k = diag(exp(-i k moves)) @ coin: w_l = |<l|psi>|^2, v_l = <l|diag(moves)|l>.
 
-    ``moves`` are +-1, so M_{k+pi} = -M_k: an even grid is diagonalized on its
+    ``spectrum(ks)`` gives the eigenvalues lam_l of M_k, one row per momentum.  M_k
+    is normal, so P_l psi = prod_{m != l} (M_k - lam_m) psi / (lam_l - lam_m) gives
+    w_l = |P_l psi|^2 and w_l v_l = <P_l psi|diag(moves)|P_l psi> (w_l v_l^2 is 0 where w_l is).
+    ``moves`` are +-1, so M_{k+pi} = -M_k: an even grid is evaluated on its
     first half, each point standing for itself and its partner k + pi.
     """
-    ks = _k_grid(grid)
     fold = 2 if grid % 2 == 0 else 1
-    lam, vecs = np.linalg.eig(_shifted(coin, ks[: grid // fold], moves))
-    gaps = np.abs(lam[:, :, None] - lam[:, None, :]) + np.eye(lam.shape[1])
+    ks = _k_grid(grid)[: grid // fold]
+    lam = spectrum(ks)
+    gaps = np.abs(lam[:, :, None] - lam[:, None, :]) + np.eye(len(moves))
     keep = gaps.min(axis=(1, 2)) >= 1e-8
     used = int(np.count_nonzero(keep))
     if used == 0:
         raise NumericError("all grid points sit on eigenvalue crossings")
-    if used < len(lam):
+    if used < len(ks):
         warnings.warn(
-            f"excluded {fold * (len(lam) - used)} near-degenerate momentum grid points",
+            f"excluded {fold * (len(ks) - used)} near-degenerate momentum grid points",
             stacklevel=3,
         )
-    vecs = vecs[keep]
-    weights = np.abs(np.einsum("kil,i->kl", vecs.conj(), psi)) ** 2
-    velocity = np.einsum("kil,i->kl", np.abs(vecs) ** 2, moves)
-    return float(np.sum(weights * velocity)) / used, float(np.sum(weights * velocity**2)) / used
+    lam, shift = lam[keep], np.exp(-1j * np.outer(ks[keep], moves))
+    c1 = c2 = 0.0
+    for l in range(len(moves)):
+        proj = np.broadcast_to(psi, shift.shape)
+        for m in set(range(len(moves))) - {l}:
+            proj = ((proj @ coin.T) * shift - lam[:, [m]] * proj) / (lam[:, [l]] - lam[:, [m]])
+        density = np.abs(proj) ** 2
+        weight, flux = density.sum(axis=1), density @ moves
+        c1 += flux.sum()
+        c2 += np.divide(flux**2, weight, out=np.zeros(used), where=weight > 0.0).sum()
+    return float(c1) / used, float(c2) / used
 
 
 def asymptotic_coefficients(
@@ -226,13 +252,18 @@ def asymptotic_coefficients(
 ) -> tuple[float, float]:
     """Long-time coefficients (c1, c2) with <s>_t ~ c1 t and <s^2>_t ~ c2 t^2.
 
-    One batched eigendecomposition covers the grid (its first half when the
-    grid is even); points whose smallest eigenvalue gap is below 1e-8 are
-    excluded with a warning, and the mean runs over the rest
-    (``NumericError`` if none is left).
+    The eigenvalues exp(-+ i beta_-+) of ``eigenphase_pair`` and spectral
+    projections cover the grid (its first half when the grid is even); points
+    whose smallest eigenvalue gap is below 1e-8 are excluded with a warning,
+    and the mean runs over the rest (``NumericError`` if none is left).
     """
     psi = _initial_spin(initial_spin)
-    return _long_time_coefficients(phase_operator(phi) @ COIN4, psi, _MOVES, grid)
+
+    def spectrum(ks):
+        beta_minus, beta_plus = eigenphase_pair(phi, ks)
+        return np.exp(1j * np.stack([beta_minus, -beta_minus, beta_plus, -beta_plus], axis=1))
+
+    return _long_time_coefficients(phase_operator(phi) @ COIN4, psi, _MOVES, grid, spectrum)
 
 
 def asymptotic_variance_coefficient(
@@ -247,7 +278,14 @@ def two_state_coefficients(
 ) -> tuple[float, float]:
     """Same long-time coefficients for a plain two-state coined walk."""
     coin, psi = np.asarray(coin, dtype=complex), _normalized(psi, 2)
-    return _long_time_coefficients(coin, psi, np.array([1.0, -1.0]), grid)
+    moves = np.array([1.0, -1.0])
+
+    def spectrum(ks):
+        (a, b), (c, d) = np.moveaxis(_shifted(coin, ks, moves), 0, -1)
+        root = np.sqrt((a - d) ** 2 + 4.0 * b * c)  # tr^2 - 4 det cancels where roots meet
+        return np.stack([a + d + root, a + d - root], axis=1) / 2.0
+
+    return _long_time_coefficients(coin, psi, moves, grid, spectrum)
 
 
 def product_walk_variance(phi: float, t: int, initial_spin: np.ndarray | None = None) -> float:
@@ -282,6 +320,9 @@ def variance_surface(
     if t_grid[0] < 1:
         raise DomainError(f"step counts must be >= 1, got {t_grid[0]}")
     check_steps(t_grid[-1])
+    if len(phi_grid) * t_grid[-1] > MAX_SURFACE_STEPS:
+        raise DomainError(f"{len(phi_grid)} angles x {t_grid[-1]} steps exceed the "
+                          f"surface limit of {MAX_SURFACE_STEPS}")
     spin = _initial_spin(initial_spin)
     rows: list[tuple[int, float, float, float | None]] = []
     for phi in phi_grid:

@@ -18,6 +18,8 @@ metadata.  Exit codes: 1 usage, 2 violated precondition, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import io
 import json
 import math
@@ -165,6 +167,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser: a shallow copy of a tree built once per process, so an
+    attribute set on it stays on it (arguments added to it would not)."""
+    return copy.copy(_parser_tree())
+
+
+@functools.cache
+def _parser_tree() -> argparse.ArgumentParser:
     parser = _Parser(prog="anyonwalk", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"anyonwalk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,8 +1,12 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anyonwalk import abelian
 from anyonwalk.abelian import (
@@ -267,6 +271,8 @@ def test_batched_eigenphases_are_the_closed_form_pairs(phi):
     pairs = np.array([eigenphase_pair(phi, float(k)) for k in ks])
     expected = np.sort(np.concatenate([pairs, -pairs], axis=1), axis=1)
     assert np.max(np.abs(phases - expected)) < 1e-10
+    # one batched call gives the same pairs as the scalar calls
+    assert np.max(np.abs(np.stack(eigenphase_pair(phi, ks), axis=1) - pairs)) <= 1e-15
 
 
 def test_two_state_crossings_get_the_four_state_guards():
@@ -285,19 +291,131 @@ def test_half_period_crossing_pair_is_excluded_twice():
     assert (c1, c2) == pytest.approx((1.0, 1.0), abs=1e-14)
 
 
-@pytest.mark.parametrize("grid,diagonalized", [(1024, 512), (1025, 1025)])
-def test_even_grid_diagonalizes_its_first_half(grid, diagonalized, monkeypatch):
-    eig = np.linalg.eig
+@pytest.mark.parametrize("name", ["eig", "eigvals", "eigh", "eigvalsh"])
+def test_long_time_coefficients_run_no_eigensolver(name, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"np.linalg.{name} called")
+
+    monkeypatch.setattr(np.linalg, name, refuse)
+    asymptotic_coefficients(0.7, _oracle_spins()[2])
+    two_state_coefficients(_C2, [1, 0])
+    variance_surface([0.7], [5], analytic=True)
+
+
+@pytest.mark.parametrize("grid,evaluated", [(1024, 512), (1025, 1025)])
+def test_even_grid_evaluates_its_first_half(grid, evaluated, monkeypatch):
     sizes = []
 
-    def spy(mats):
-        sizes.append(len(mats))
-        return eig(mats)
+    def spy(name, size):
+        orig = getattr(abelian, name)
 
-    monkeypatch.setattr(np.linalg, "eig", spy)
+        def wrapper(*args):
+            sizes.append(size(args))
+            return orig(*args)
+
+        monkeypatch.setattr(abelian, name, wrapper)
+
+    spy("eigenphase_pair", lambda args: np.size(args[1]))
+    spy("_shifted", lambda args: len(args[1]))
     asymptotic_coefficients(0.7, grid=grid)
     two_state_coefficients(_C2, [1, 0], grid=grid)
-    assert sizes == [diagonalized, diagonalized]
+    assert sizes == [evaluated, evaluated]
+
+
+def _mp_step(phi, k=0):
+    """M_k = exp(-i k Z_x) exp(i phi Z_x Z_y) exp(i pi/4 (X_x + X_y)) at the working precision."""
+    half = mpmath.matrix([[1, 1j], [1j, 1]]) / mpmath.sqrt(2)
+    signs = [1, -1, -1, 1]
+    return mpmath.matrix(
+        [
+            [
+                mpmath.exp(1j * (phi * signs[i] - k * abelian._MOVES[i]))
+                * half[i // 2, j // 2]
+                * half[i % 2, j % 2]
+                for j in range(4)
+            ]
+            for i in range(4)
+        ]
+    )
+
+
+_NEAR_CROSSINGS = [math.pi / 2 + 1e-7, math.pi / 2 - 1e-7, 1e-6]
+
+
+@pytest.mark.parametrize("phi", _NEAR_CROSSINGS)
+def test_near_crossing_point_matches_a_50_digit_oracle(phi):
+    # the one-point grid is k = 0, where the eigenvalue gap is 1e-7 or 2e-6
+    with mpmath.workdps(50):
+        _, vecs = mpmath.eig(_mp_step(mpmath.mpf(phi)))
+        for spin in _oracle_spins():
+            c1 = c2 = mpmath.mpf(0)
+            for col in range(4):
+                vec = vecs[:, col] / mpmath.norm(vecs[:, col])
+                weight = abs(sum(mpmath.conj(vec[i]) * spin[i] for i in range(4))) ** 2
+                velocity = sum(abs(vec[i]) ** 2 * abelian._MOVES[i] for i in range(4))
+                c1 += weight * velocity
+                c2 += weight * velocity**2
+            got = asymptotic_coefficients(phi, spin, grid=1)
+            assert np.max(np.abs(np.subtract(got, (float(c1), float(c2))))) <= 1e-8, spin
+
+
+@pytest.mark.parametrize(
+    "phi,k",
+    [(phi, 0.0) for phi in _NEAR_CROSSINGS + [0.0, math.pi]]
+    + [(0.0, 1e-5), (1e-9, 1e-4), (math.pi, math.pi - 1e-4), (math.pi / 2 - 1e-7, 1e-9)],
+)
+def test_eigenphases_near_a_crossing_match_a_50_digit_oracle(phi, k):
+    with mpmath.workdps(50):
+        lam = mpmath.eig(_mp_step(mpmath.mpf(phi), mpmath.mpf(k)), right=False)
+        phases = np.sort([abs(float(mpmath.arg(x))) for x in lam])
+    beta_minus, beta_plus = eigenphase_pair(phi, k)
+    got = np.sort([beta_minus, beta_minus, beta_plus, beta_plus])
+    # relative accuracy, which the small phases next to a crossing need; the
+    # oracle puts an exact zero phase at about 1e-50
+    assert np.all(np.abs(got - phases) <= 4 * np.finfo(float).eps * phases + 1e-40)
+
+
+def _eig_oracle(phi, spin, grid):
+    """Per-k np.linalg.eig over the whole midpoint grid, with the 1e-8 gap rule;
+    also returns the excluded count and the mean of 1/gap over the kept points."""
+    sum1 = sum2 = inverse_gaps = 0.0
+    used = 0
+    for k in _midpoints(grid):
+        lam, vecs = np.linalg.eig(_reference_step(phi, k))
+        gap = np.min(np.abs(lam[:, None] - lam[None, :]) + np.eye(4))
+        if gap < 1e-8:
+            continue
+        weights = np.abs(vecs.conj().T @ spin) ** 2
+        velocity = np.abs(vecs.T) ** 2 @ abelian._MOVES
+        sum1 += float(weights @ velocity)
+        sum2 += float(weights @ velocity**2)
+        inverse_gaps += 1.0 / gap
+        used += 1
+    return (sum1 / used, sum2 / used), grid - used, inverse_gaps / used
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    phi=st.floats(0.0, 2 * math.pi),
+    parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).filter(
+        lambda xs: sum(x * x for x in xs) > 0.01
+    ),
+    grid=st.integers(3, 4096),
+)
+def test_coefficients_match_a_per_k_eig_oracle(phi, parts, grid):
+    spin = np.array(parts[:4]) + 1j * np.array(parts[4:])
+    spin /= np.linalg.norm(spin)
+    ref, excluded, inverse_gap = _eig_oracle(phi, spin, grid)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = asymptotic_coefficients(phi, spin, grid)
+    assert [str(w.message) for w in caught] == (
+        [f"excluded {excluded} near-degenerate momentum grid points"] if excluded else []
+    )
+    # a spectral projector divides an O(eps) rounding error by the eigenvalue gap,
+    # so next to a crossing the points lose about eps/gap each (measured: <= 2.2 eps/gap)
+    tol = 1e-12 + 16 * np.finfo(float).eps * inverse_gap
+    assert np.max(np.abs(np.subtract(got, ref))) <= tol
 
 
 def _reference_moment(phi, t, grid, spins):

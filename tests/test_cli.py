@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import anyonwalk.nonabelian as nonabelian
+from anyonwalk import cli
+from anyonwalk.abelian import MAX_SURFACE_STEPS, variance_surface
 from anyonwalk.cli import _parse_floats, build_parser, dispatch, main
 from anyonwalk.distribution import MAX_STEPS, Distribution
 from anyonwalk.errors import DomainError, NumericError
@@ -281,3 +283,45 @@ def test_overlong_position_walk_is_refused_before_stepping(argv, capsys):
 def test_longest_position_walk_runs():
     env = run(["baseline", "quantum", "--t", str(MAX_STEPS)])
     assert len(env.payload["rows"]) == MAX_STEPS + 1
+
+
+def test_each_parser_is_its_own_object():
+    first, second = build_parser(), build_parser()
+    assert first is not second
+    first.parse_args = lambda *args, **kwargs: None
+    assert "parse_args" not in vars(build_parser())
+    assert build_parser().parse_args(["dsn", "dist", "--N", "5", "--t", "2"]).N == 5
+
+
+def test_parser_state_does_not_leak_between_calls(capsys):
+    argv = ["dsn", "dist", "--N", "6", "--t", "3"]
+    assert main(["dsn", "dist", "--N", "five", "--t", "3"]) == 1
+    assert main(["--version"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    reused = capsys.readouterr().out.encode()
+    cli._parser_tree.cache_clear()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == reused
+
+
+@pytest.mark.parametrize(
+    "phis,ts",
+    [
+        (",".join(["0.5"] * (MAX_SURFACE_STEPS + 1)), "1"),
+        ("0,1", f"1..{MAX_STEPS}"),
+        (",".join(["0.5"] * 100), f"1..{MAX_STEPS}"),
+        (",".join(["0.5"] * 20_000), "1"),
+    ],
+)
+def test_oversized_variance_surface_is_refused_before_stepping(phis, ts, capsys):
+    start = time.perf_counter()
+    assert main(["abelian", "variance", "--phi", phis, "--t", ts, "--analytic"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceed" in err and "Traceback" not in err
+
+
+def test_surface_at_the_step_limit_runs():
+    rows = variance_surface([0.1 * i for i in range(MAX_SURFACE_STEPS // 4)], [2, 4])
+    assert len(rows) == MAX_SURFACE_STEPS // 2
