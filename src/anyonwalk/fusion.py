@@ -125,7 +125,8 @@ def _reach_table(model: AnyonModel, n: int) -> tuple[np.ndarray, list[list[int]]
         raise DomainError(f"anyon count must be even and >= 4, got {n}")
     _check_dimension_floor(n)  # so n <= 42, and every count, at most 2^n, fits in int64
     nlab = min(len(model.labels), n + 1)
-    steps = model.fusion[:nlab, model.sigma, :nlab].astype(np.int64)
+    # sigma x q = (q - 1) + (q + 1) within the labels 0..k, so no fusion tensor is read
+    steps = np.eye(nlab, k=1, dtype=np.int64) + np.eye(nlab, k=-1, dtype=np.int64)
     reach = np.zeros((nlab, n + 1), dtype=np.int64)
     reach[model.vacuum, 0] = 1
     for r in range(1, n + 1):
@@ -226,18 +227,19 @@ def vacuum_pair_state(space: FusionSpace) -> np.ndarray:
     return vec
 
 
-def _tl_table(space: FusionSpace, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """e_i for each index as (diag, partner, off), each (len(indices), dim):
-    e_i x = diag * x + off * x[partner], with partner the row itself where
-    there is none."""
+def _tl_table(space: FusionSpace, indices, weights) -> tuple[np.ndarray, ...]:
+    """e_i for each row of loop weights (one per label) and each index as
+    (diag, partner, off): diag and off are (len(weights), len(indices), dim),
+    partner is (len(indices), dim), and e_i x = diag * x + off * x[partner],
+    with partner the row itself where there is none."""
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     if np.any((idx < 1) | (idx > space.n - 1)):
         raise DomainError(f"generator index outside [1, {space.n - 1}]: {idx.tolist()}")
-    w = np.asarray(space.model.weights, dtype=float)
+    w = np.asarray(weights, dtype=float)
     ext = np.pad(space.charges, ((0, 0), (1, 1)))  # c_0..c_n, vacuum at both ends
     left, mid, right = (ext[:, idx + shift].T.astype(np.int64) for shift in (-1, 0, 1))
     fuse = left == right  # strands i, i+1 can fuse to the vacuum
-    diag = np.where(fuse, w[mid] / w[left], 0.0)
+    diag = np.where(fuse, w[:, mid] / w[:, left], 0.0)
     # the partner path swaps steps i and i+1 (up-down <-> down-up), so its key
     # differs in two adjacent bits; flipping two equal steps would change the
     # final charge, so only rows that fuse find one, and partners outside the
@@ -246,18 +248,36 @@ def _tl_table(space: FusionSpace, indices) -> tuple[np.ndarray, np.ndarray, np.n
     at, found = space._find(space.keys[None, :] ^ flips[:, None])
     partner = np.where(found, at, np.arange(space.dim))
     mid_partner = np.take_along_axis(mid, partner, axis=1)
-    off = np.where(found, np.sqrt(w[mid] * w[mid_partner]) / w[left], 0.0)
+    off = np.where(found, np.sqrt(w[:, mid] * w[:, mid_partner]) / w[:, left], 0.0)
     return diag, partner, off
 
 
-def braid_table(space: FusionSpace, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def braid_table(space: FusionSpace, indices, models=None) -> tuple[np.ndarray, ...]:
     """b_i = A * identity + A^-1 * e_i for each index as arrays
     (diag, partner, off) of shape (len(indices), dim), with
     b_i x = diag * x + off * x[partner].  Each row has at most one e_i
-    partner, so the form is exact."""
-    inv = 1 / space.model.A
-    diag, partner, off = _tl_table(space, indices)
-    return space.model.A + inv * diag, partner, inv * off
+    partner, so the form is exact.
+
+    Given ``models``, an iterable of levels that each have a label for every
+    charge of the space, diag and off gain a leading axis holding each
+    level's table; partner is shared.  The models are read one at a time, so
+    a wide batch never holds every level's label tuple.
+    """
+    nlab = int(space.charges.max()) + 1
+    amps, weights = [], []
+    for model in [space.model] if models is None else models:
+        if len(model.labels) < nlab:
+            raise DomainError(f"{model.name} lacks labels of the space's charges 0..{nlab - 1}")
+        amps.append(model.A)
+        weights.append(model.weights[:nlab])
+    diag, partner, off = _tl_table(space, indices, weights)
+    diag, off = diag.astype(complex), off.astype(complex)
+    for A, d, o in zip(amps, diag, off):
+        inv = 1 / A  # a Python complex: numpy's complex division rounds differently
+        d *= inv
+        d += A
+        o *= inv
+    return (diag[0], partner, off[0]) if models is None else (diag, partner, off)
 
 
 def _table_csr(diag: np.ndarray, partner: np.ndarray, off: np.ndarray) -> sp.csr_matrix:
@@ -274,7 +294,8 @@ def _table_csr(diag: np.ndarray, partner: np.ndarray, off: np.ndarray) -> sp.csr
 
 def tl_generator(space: FusionSpace, i: int) -> sp.csr_matrix:
     """The diagram-algebra generator e_i on the fusion basis (Hermitian, e^2 = d e)."""
-    return _table_csr(*(part[0] for part in _tl_table(space, [i])))
+    diag, partner, off = _tl_table(space, [i], [space.model.weights])
+    return _table_csr(diag[0, 0], partner[0], off[0, 0])
 
 
 def braid_generator(space: FusionSpace, i: int) -> sp.csr_matrix:

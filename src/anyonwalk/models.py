@@ -2,7 +2,9 @@
 
 Two families are supported.  ``build_su2k`` constructs the SU(2) level-k
 model whose walker label is the spin-1/2 particle; labels are indexed by
-twice their spin, so id 0 is the vacuum and id 1 is the walker.
+twice their spin, so id 0 is the vacuum and id 1 is the walker.  Its
+(k+1)^3 fusion tensor is built on first access; walks and brackets never
+read it, the walker's fusion rule being the step q -> q +- 1.
 ``build_dsn`` constructs the parameter set of the transposition-class irrep
 of the symmetric-group quantum double, which is all the Markov-trace engine
 needs.
@@ -15,6 +17,7 @@ available without rounding.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +25,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
+
+#: highest level ``build_su2k`` accepts.  A model holds O(k) labels and
+#: weights, and a walk or a bracket at this level runs in milliseconds; the
+#: (k+1)^3 fusion tensor is built only when read, which no walk or bracket does.
+MAX_LEVEL = 10_000
 
 
 @dataclass(frozen=True)
@@ -47,7 +55,6 @@ class AnyonModel:
 
     name: str
     labels: tuple[AnyonLabel, ...]
-    fusion: np.ndarray  # N[a][b][c] in {0, 1}
     d: float  # quantum dimension of the walker label
     a_angle: Fraction  # A = exp(i * pi * a_angle)
     k: int | None = None
@@ -66,22 +73,29 @@ class AnyonModel:
     def vacuum(self) -> int:
         return 0
 
+    @functools.cached_property
+    def fusion(self) -> np.ndarray:
+        """N[a][b][c] in {0, 1}, built on first access: (k+1)^3 bytes."""
+        # N[a][b][c] = 1 for c = |a-b|, |a-b|+2, ..., min(a+b, 2k-a-b); only the
+        # (a, b) bounds are integer arrays, the (k+1)^3 temporaries are boolean
+        k = self.k
+        q = np.arange(k + 1)
+        a, b, c = q[:, None], q[None, :], q[None, None, :]
+        lo = np.abs(a - b)[..., None]
+        hi = np.minimum(a + b, 2 * k - a - b)[..., None]
+        return ((c >= lo) & (c <= hi) & (c % 2 == ((a + b) % 2)[..., None])).view(np.uint8)
+
     def fusion_outcomes(self, a: int, b: int) -> list[int]:
         return [c for c in range(len(self.labels)) if self.fusion[a, b, c]]
 
 
 def build_su2k(k: int) -> AnyonModel:
-    """Construct the SU(2) level-k model (k >= 2)."""
+    """Construct the SU(2) level-k model (2 <= k <= ``MAX_LEVEL``)."""
     if k < 2:
         raise DomainError(f"level must be an integer >= 2, got {k}")
+    if k > MAX_LEVEL:
+        raise DomainError(f"level {k} exceeds the cap of {MAX_LEVEL}")
     nlab = k + 1
-    # N[a][b][c] = 1 for c = |a-b|, |a-b|+2, ..., min(a+b, 2k-a-b); only the
-    # (a, b) bounds are integer arrays, the (k+1)^3 temporaries are boolean
-    q = np.arange(nlab)
-    a, b, c = q[:, None], q[None, :], q[None, None, :]
-    lo = np.abs(a - b)[..., None]
-    hi = np.minimum(a + b, 2 * k - a - b)[..., None]
-    fusion = ((c >= lo) & (c <= hi) & (c % 2 == ((a + b) % 2)[..., None])).view(np.uint8)
     d = 2.0 * math.cos(math.pi / (k + 2))
     # A = i * exp(i*pi / (2(k+2))) = exp(i*pi * (k+3) / (2(k+2)))
     a_angle = Fraction(k + 3, 2 * (k + 2))
@@ -91,7 +105,6 @@ def build_su2k(k: int) -> AnyonModel:
     return AnyonModel(
         name=f"su2k:{k}",
         labels=labels,
-        fusion=fusion,
         d=d,
         a_angle=a_angle,
         k=k,

@@ -12,8 +12,12 @@ Two engines compute P(s, t):
 * ``distribution_dense`` evolves the coin x position x fusion state on the
   reachable sites and on the fusion paths the walk can reach, a few hundred
   paths at t=12 where the full space has up to 10^5.  Each step is a few
-  numpy calls: the coin toss and one gather-multiply with the braid table
-  for each direction, over all sites at once.
+  numpy calls: the coin toss and one gather-multiply with the braid table,
+  over all sites and both directions at once.  ``sweep_distances`` runs the
+  same loop with a level axis: levels whose walks reach the same paths
+  share one reachable pass and one evolution, since truncating the labels
+  at k changes nothing once k is at least the highest charge the walk
+  reaches (k >= 3 at t = 10).
 * ``distribution_pathsum`` evolves the same walk on planar cup diagrams: each
   site and coin holds a map from diagrams to coefficients, a braid letter
   acts by the skein relation b_i = A + A^-1 e_i, and P(s) is the plat-closure
@@ -57,6 +61,10 @@ from .tl import (
     anyon_trace,  # noqa: F401  (perfbench's tracer wraps this name)
     skein_act,
 )
+
+#: most amplitudes one level-group evolution may hold per array (16 MiB); a
+#: group of more levels is evolved in chunks of levels
+SWEEP_CHUNK_AMPLITUDES = 2**20
 
 #: cup diagrams one site and coin may hold; a walk needs 68 at t=12, 128 at
 #: t=13 and 144 at t=14, and the pairing costs the square of it per site
@@ -289,6 +297,36 @@ def _qubit_rep(model: AnyonModel, n: int, s0: int, t: int):
     return dim, dim, alpha, tuple(np.array(part) for part in zip(*rows))
 
 
+def _evolve(diag, partner, off, alpha, t: int, c: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """P(s) after t steps for each of a group of levels, as (levels, t + 1).
+
+    The levels share the start vector ``alpha`` and the gather table
+    ``partner`` (2t, dim) of generators s0 - t .. s0 + t - 1; ``diag`` and
+    ``off`` are (levels, 2t, dim).  Only the reachable sites are stored:
+    after r steps, block [l, j] is the (2, dim) coin x fusion amplitude of
+    level l at site s0 - r + 2j.  Each step tosses the coin and applies every
+    level's and site's generator at once, as diag * x + off * x[partner].
+    """
+    levels, _, dim = diag.shape
+    state = np.tile(psi[:, None] * alpha[None, :], (levels, 1, 1, 1))
+    for r in range(t):
+        # row 2j + a of the tossed state, site s = s0 - r + 2j with coin a,
+        # goes through generator s + a - 1, table row t - r - 1 + 2j + a, to
+        # new site s + 2a - 1: the rows of this step are one slice
+        rows = slice(t - r - 1, t + r + 1)
+        tossed = np.einsum("ij,lsjd->lsid", c, state).reshape(levels, 2 * r + 2, dim)
+        braided = np.take_along_axis(tossed, partner[None, rows], axis=2)
+        braided *= off[:, rows]
+        tossed *= diag[:, rows]
+        braided += tossed
+        state = np.zeros((levels, r + 2, 2, dim), dtype=complex)
+        state[:, :-1, 0] = braided[:, 0::2]
+        state[:, 1:, 1] = braided[:, 1::2]
+    # |amplitude|^2 summed per level and site, as re^2 + im^2 without a temporary
+    parts = state.view(float).reshape(levels, t + 1, -1)
+    return np.einsum("lsk,lsk->ls", parts, parts)
+
+
 def distribution_dense(
     model: AnyonModel,
     geom: WalkGeometry | None,
@@ -299,12 +337,10 @@ def distribution_dense(
 ) -> Distribution:
     """Walker distribution by dense evolution of coin x position x fusion state.
 
-    Only the reachable sites are stored: after r steps, block j of the state
-    is the (2, dim) coin x fusion amplitude at site s0 - r + 2j.  The fusion
-    representation holds only the paths the walk can reach
-    (``reachable_fusion_space``); the qubit one holds the whole space.  Each
-    step tosses the coin and applies every site's generator at once, as
-    diag * x + off * x[partner] gathered over the sites.  The meta reports
+    The evolution is ``_evolve`` for one level, on the reachable sites only.
+    The fusion representation holds only the paths the walk can reach
+    (``reachable_fusion_space``); the qubit one holds the whole space.  The
+    meta reports
     both sizes as ``fusion_dim`` and ``reachable_dim``, the ``generators``
     built and their ``generator_nnz``, and the final ``norm_drift`` |1 - sum P|.
     """
@@ -319,23 +355,8 @@ def distribution_dense(
         raise DomainError(f"unknown representation {representation!r}")
     c = coin_matrix(coin)
     psi = np.array([1, 0], dtype=complex) if psi is None else np.asarray(psi, dtype=complex)
-
-    def braid(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        # row j of x braided by table row g[j]
-        return diag[g] * x + off[g] * np.take_along_axis(x, partner[g], axis=1)
-
-    state = (psi[:, None] * alpha[None, :])[None]
-    for r in range(t):
-        tossed = np.einsum("ij,sjd->sid", c, state)
-        # site s = s0 - r + 2j sends coin 0 through generator s - 1 to new
-        # block j and coin 1 through generator s to block j + 1; table row g
-        # holds generator s0 - t + g
-        g = np.arange(t - r, t + r + 1, 2)
-        state = np.zeros((r + 2, 2, dim), dtype=complex)
-        state[:-1, 0] = braid(tossed[:, 0], g - 1)
-        state[1:, 1] = braid(tossed[:, 1], g)
+    probs = _evolve(diag[None], partner, off[None], alpha, t, c, psi)[0]
     positions = tuple(range(s0 - t, s0 + t + 1, 2))
-    probs = np.array([float(np.sum(np.abs(block) ** 2)) for block in state])
     return Distribution(
         positions,
         probs,
@@ -408,16 +429,46 @@ def sweep_distances(
     psi: np.ndarray | None = None,
 ) -> list[tuple[int, float, float]]:
     """Distances of the level-k walk to the standard quantum and classical
-    walks at fixed t, as rows (k, d_q, d_c)."""
+    walks at fixed t, as rows (k, d_q, d_c) in the order of ``ks``.
+
+    Levels are walked in groups that share a fusion space.  One reachable
+    pass at the largest pending level K, after the state budget is checked
+    there, finds the paths and their highest charge m.  Truncating the labels
+    at k rejects only partners above k, and no path goes above m, so every
+    level in [m, K] reaches exactly these paths: the group shares the pass
+    and the gather table, and evolves in one ``_evolve`` call with its own
+    loop weights and A per level, in chunks of levels if it would hold more
+    than ``SWEEP_CHUNK_AMPLITUDES`` per array.  The levels below m form the
+    next group.
+    """
     from .distribution import baseline_classical, baseline_quantum, distance
     from .models import build_su2k
 
+    geom = WalkGeometry.for_steps(t, n)
+    geom.check_steps(t)
+    n, s0 = geom.n, geom.s0
+    c = coin_matrix(coin)
+    psi = np.array([1, 0], dtype=complex) if psi is None else np.asarray(psi, dtype=complex)
     quantum = baseline_quantum(t, coin, psi)
     classical = baseline_classical(t)
+    positions = tuple(range(-t, t + 1, 2))
 
-    rows = []
-    for k in ks:
-        dist = walk_distribution(build_su2k(k), t, n=n, engine="dense", coin=coin, psi=psi)
-        centered = dist.shifted(dist.meta["s0"])
-        rows.append((k, distance(centered, quantum), distance(centered, classical)))
-    return rows
+    found = {}
+    pending = sorted(set(ks), reverse=True)
+    while pending:
+        top = build_su2k(pending[0])
+        check_state_budget(n, fusion_dimension(top, n))
+        space = reachable_fusion_space(top, n, s0, t)
+        m = int(space.charges.max())
+        group = [k for k in pending if k >= m]
+        pending = pending[len(group):]
+        alpha = vacuum_pair_state(space)
+        width = max(1, SWEEP_CHUNK_AMPLITUDES // (2 * t * space.dim))
+        for i in range(0, len(group), width):
+            chunk = group[i : i + width]
+            # the table reads one model at a time, so no chunk holds every label tuple
+            diag, partner, off = braid_table(space, range(s0 - t, s0 + t), map(build_su2k, chunk))
+            for k, p in zip(chunk, _evolve(diag, partner, off, alpha, t, c, psi)):
+                centered = Distribution(positions, p)
+                found[k] = (distance(centered, quantum), distance(centered, classical))
+    return [(k, *found[k]) for k in ks]

@@ -1,6 +1,8 @@
 import json
 import math
+import shlex
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from anyonwalk.abelian import MAX_SURFACE_STEPS, variance_surface
 from anyonwalk.cli import _parse_floats, build_parser, dispatch, main
 from anyonwalk.distribution import MAX_STEPS, Distribution
 from anyonwalk.errors import DomainError, NumericError
+from anyonwalk.models import MAX_LEVEL, AnyonModel
 
 
 def run(argv):
@@ -169,6 +172,38 @@ def test_oversized_fusion_space_refused_before_enumeration(capsys):
     assert "memory budget" in capsys.readouterr().err
 
 
+def test_oversized_sweep_is_refused_before_any_pass(capsys):
+    start = time.perf_counter()
+    assert main(["su2k", "sweep", "--k", "2..30,40,60,80", "--t", "40"]) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "memory budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["su2k", "sweep", "--k", "3000", "--t", "2"],
+        ["su2k", "dist", "--k", "3000", "--t", "4"],
+        ["su2k", "generators", "--k", "3000", "--n", "4"],
+        ["kauffman", "--n", "2", "--word", "1", "--closure", "markov", "--k", "3000"],
+    ],
+)
+def test_a_high_level_reads_no_fusion_tensor(argv, monkeypatch, capsys):
+    def refuse(model):
+        raise AssertionError("read the fusion tensor")
+
+    monkeypatch.setattr(AnyonModel, "fusion", property(refuse))
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 1.0
+    capsys.readouterr()
+    assert main([str(MAX_LEVEL + 1) if arg == "3000" else arg for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert f"cap of {MAX_LEVEL}" in err
+
+
 def test_oversized_cup_state_refused_as_it_grows(capsys):
     start = time.perf_counter()
     assert main(["su2k", "dist", "--engine", "pathsum", "--k", "3", "--t", "40"]) == 2
@@ -325,3 +360,22 @@ def test_oversized_variance_surface_is_refused_before_stepping(phis, ts, capsys)
 def test_surface_at_the_step_limit_runs():
     rows = variance_surface([0.1 * i for i in range(MAX_SURFACE_STEPS // 4)], [2, 4])
     assert len(rows) == MAX_SURFACE_STEPS // 2
+
+
+def readme_command_lines() -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("anyonwalk ")]
+
+
+def test_readme_lists_the_headline_sweep():
+    assert "anyonwalk su2k sweep --k 2..30,40,60,80 --t 10" in readme_command_lines()
+
+
+@pytest.mark.parametrize("line", readme_command_lines())
+def test_readme_command_line_runs(line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(line)[1:]
+    assert main(argv) == 0, capsys.readouterr().err
+    if "--to" in argv:
+        assert (tmp_path / argv[argv.index("--to") + 1]).stat().st_size > 0

@@ -301,6 +301,23 @@ def test_braid_table_matches_the_csr_oracle(k):
         braid_table(space, [0, 1])
 
 
+def test_level_batched_table_is_each_levels_table():
+    # every level k >= 3 reaches the paths of a ten-step walk at level 80
+    geom = WalkGeometry.for_steps(10)
+    indices = range(geom.s0 - 10, geom.s0 + 10)
+    space = reachable_fusion_space(build_su2k(80), geom.n, geom.s0, 10)
+    levels = [80, 3, 17, 40]
+    diag, partner, off = braid_table(space, indices, map(build_su2k, levels))
+    assert diag.shape == off.shape == (len(levels), *partner.shape)
+    for row, k in enumerate(levels):
+        own = reachable_fusion_space(build_su2k(k), geom.n, geom.s0, 10)
+        assert np.array_equal(own.charges, space.charges)
+        for got, want in zip((diag[row], partner, off[row]), braid_table(own, indices)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    with pytest.raises(DomainError, match="lacks labels"):
+        braid_table(space, indices, [build_su2k(2)])
+
+
 def reachable_by_site_oracle(model, n, s0, t):
     """The reachable pass as first written: paths kept per site and
     deduplicated with one np.unique(axis=0) per site and step."""

@@ -3,6 +3,7 @@ import pytest
 
 from anyonwalk.errors import DomainError
 from anyonwalk.models import (
+    MAX_LEVEL,
     DoubleIrrepParams,
     build_dsn,
     build_su2k,
@@ -49,6 +50,17 @@ def test_fusion_tensor_matches_the_triple_loop():
 def test_invalid_level_rejected():
     with pytest.raises(DomainError):
         build_su2k(1)
+    with pytest.raises(DomainError, match="cap"):
+        build_su2k(MAX_LEVEL + 1)
+
+
+def test_fusion_tensor_is_built_on_first_access():
+    m = build_su2k(MAX_LEVEL)
+    assert len(m.labels) == len(m.weights) == MAX_LEVEL + 1
+    assert "fusion" not in vars(m)
+    small = build_su2k(4)
+    assert small.fusion is small.fusion
+    assert "fusion" in vars(small)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 7])

@@ -18,7 +18,7 @@ from anyonwalk.fusion import (
     su22_qubit_generator,
     vacuum_pair_state,
 )
-from anyonwalk.models import build_su2k
+from anyonwalk.models import AnyonModel, build_su2k
 from anyonwalk.nonabelian import (
     WalkGeometry,
     closed_form_distribution,
@@ -245,16 +245,48 @@ def test_qubit_table_matches_the_qubit_generators(n):
 
 
 def test_the_walk_path_lists_no_basis_and_builds_no_csr_generator(monkeypatch):
-    # the full basis and the CSR generators serve dumps and oracles only
+    # the full basis, the CSR generators and the fusion tensor serve dumps and
+    # oracles only
     def refuse(*args, **kwargs):
         raise AssertionError("called on the walk path")
 
+    passes = []
+
+    def counting(model, *args):
+        passes.append(model.k)
+        return reachable_fusion_space(model, *args)
+
     monkeypatch.setattr(nonabelian, "braid_generator", refuse)
     monkeypatch.setattr(nonabelian, "enumerate_fusion_basis", refuse)
+    monkeypatch.setattr(AnyonModel, "fusion", property(refuse))
+    monkeypatch.setattr(nonabelian, "reachable_fusion_space", counting)
     ks = list(range(2, 31)) + [40, 60, 80]
     rows = nonabelian.sweep_distances(ks, t=10)
     assert [k for k, _, _ in rows] == ks
     assert min(rows, key=lambda row: row[2])[0] == 6
+    # the paths of a ten-step walk at level 80 reach charge 3, so every level
+    # k >= 3 shares one pass and level 2 needs its own
+    assert passes == [80, 2]
+    passes.clear()
+    nonabelian.sweep_distances(list(range(3, 31)) + [40, 60, 80], t=10)
+    assert passes == [80]
+
+
+def test_a_wide_level_group_evolves_in_chunks(monkeypatch):
+    ks = list(range(3, 31))
+    whole = nonabelian.sweep_distances(ks, t=10)
+    widths = []
+    evolve = nonabelian._evolve
+
+    def recording(diag, *args):
+        widths.append(len(diag))
+        return evolve(diag, *args)
+
+    monkeypatch.setattr(nonabelian, "_evolve", recording)
+    # room for five levels of the 117 paths and 20 generators of a ten-step walk
+    monkeypatch.setattr(nonabelian, "SWEEP_CHUNK_AMPLITUDES", 5 * 20 * 117)
+    assert nonabelian.sweep_distances(ks, t=10) == whole
+    assert widths == [5] * 5 + [3]
 
 
 @st.composite
@@ -288,6 +320,41 @@ def test_engines_agree_on_random_walks(k, layout, coin, psi):
     dd = distribution_dense(model, geom, t, coin=coin, psi=psi)
     assert dp.positions == dd.positions
     assert np.max(np.abs(dp.probs - dd.probs)) <= 1e-10
+
+
+@st.composite
+def sweep_cases(draw):
+    t = draw(st.integers(1, 12))
+    # above n = 26 the full space of a high level exceeds the state budget
+    n = draw(st.sampled_from([None, *range(2 * t + 2, 27, 2)]))
+    geom = WalkGeometry.for_steps(t, n)
+    # the highest charge a walk at a high level reaches: the lowest level of its group
+    boundary = max(2, int(reachable_fusion_space(build_su2k(500), geom.n, geom.s0, t).charges.max()))
+    levels = st.one_of(st.just(2), st.just(boundary), st.integers(2, 12),
+                       st.sampled_from([40, 80, 500, 3000]))
+    return t, n, draw(st.lists(levels, min_size=1, max_size=8))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=sweep_cases(), coin=st.sampled_from(["H", "U"]), psi=coin_states)
+def test_level_batched_sweep_matches_per_level_walks(case, coin, psi):
+    t, n, ks = case
+    quantum = baseline_quantum(t, coin, psi)
+    classical = baseline_classical(t)
+    want = []
+    try:
+        for k in ks:
+            dist = walk_distribution(build_su2k(k), t, n=n, engine="dense", coin=coin, psi=psi)
+            centered = dist.shifted(dist.meta["s0"])
+            want.append((k, distance(centered, quantum), distance(centered, classical)))
+    except BoundaryError:  # an n = 0 mod 4 layout too narrow for its shifted start site
+        with pytest.raises(BoundaryError):
+            nonabelian.sweep_distances(ks, t=t, n=n, coin=coin, psi=psi)
+        return
+    rows = nonabelian.sweep_distances(ks, t=t, n=n, coin=coin, psi=psi)
+    assert [k for k, _, _ in rows] == ks
+    for got, expected in zip(rows, want):
+        assert np.max(np.abs(np.subtract(got, expected))) <= 1e-15
 
 
 def test_pathsum_refuses_a_negative_site_norm(monkeypatch):
