@@ -29,14 +29,7 @@ from .fusion import (
     vacuum_pair_state,
 )
 from .laurent import LOOP_VALUE, LaurentPoly
-from .models import (
-    AnyonLabel,
-    AnyonModel,
-    DoubleIrrepParams,
-    build_dsn,
-    build_su2k,
-    parse_model_spec,
-)
+from .models import AnyonModel, DoubleIrrepParams, build_dsn, build_su2k
 from .nonabelian import (
     WalkGeometry,
     closed_form_distribution,
@@ -64,7 +57,6 @@ from .tl import (
 )
 
 __all__ = [
-    "AnyonLabel",
     "AnyonModel",
     "BoundaryError",
     "BraidWord",
@@ -98,7 +90,6 @@ __all__ = [
     "markov_trace_word",
     "momentum_operator",
     "moments_analytic",
-    "parse_model_spec",
     "path_braid_word",
     "plat_bracket",
     "simulate_distribution",

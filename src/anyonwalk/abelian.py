@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import Distribution, baseline_quantum, check_steps
+from .distribution import Distribution, _normalized, baseline_quantum, check_steps, coin_state
 from .errors import DomainError, NumericError
 
 _C2 = np.array([[1, 1j], [1j, 1]], dtype=complex) / math.sqrt(2)
@@ -56,24 +56,6 @@ MAX_SURFACE_STEPS = 2000
 def default_spin() -> np.ndarray:
     spin = np.zeros(4, dtype=complex)
     spin[0] = 1.0
-    return spin
-
-
-@dataclass(frozen=True)
-class AbelianConfig:
-    phi: float
-    t: int
-    initial_spin: np.ndarray = field(default_factory=default_spin)
-
-    def __post_init__(self):
-        object.__setattr__(self, "initial_spin", _initial_spin(self.initial_spin))
-
-
-def _normalized(spin, dim: int) -> np.ndarray:
-    """``spin`` checked to be a normalized ``dim``-vector."""
-    spin = np.asarray(spin, dtype=complex)
-    if spin.shape != (dim,) or abs(np.linalg.norm(spin) - 1.0) > 1e-12:
-        raise DomainError(f"initial spin must be a normalized {dim}-vector")
     return spin
 
 
@@ -277,7 +259,7 @@ def two_state_coefficients(
     coin: np.ndarray, psi: np.ndarray, grid: int = DEFAULT_GRID
 ) -> tuple[float, float]:
     """Same long-time coefficients for a plain two-state coined walk."""
-    coin, psi = np.asarray(coin, dtype=complex), _normalized(psi, 2)
+    coin, psi = np.asarray(coin, dtype=complex), coin_state(psi)
     moves = np.array([1.0, -1.0])
 
     def spectrum(ks):

@@ -50,6 +50,20 @@ def coin_matrix(coin: str | np.ndarray) -> np.ndarray:
     return mat
 
 
+def _normalized(spin, dim: int) -> np.ndarray:
+    """``spin`` checked to be a normalized ``dim``-vector."""
+    spin = np.asarray(spin, dtype=complex)
+    if spin.shape != (dim,) or abs(np.linalg.norm(spin) - 1.0) > 1e-12:
+        raise DomainError(f"initial spin must be a normalized {dim}-vector")
+    return spin
+
+
+def coin_state(psi) -> np.ndarray:
+    """The initial coin state: |0> for None, else ``psi`` checked to be a
+    normalized 2-vector."""
+    return np.array([1, 0], dtype=complex) if psi is None else _normalized(psi, 2)
+
+
 @dataclass
 class Distribution:
     """A position distribution at fixed step count, with engine metadata."""
@@ -103,7 +117,7 @@ def baseline_quantum(
     """Standard two-state coined walk on the line, started at the origin."""
     check_steps(t)
     c = coin_matrix(coin)
-    psi = np.array([1, 0], dtype=complex) if psi is None else np.asarray(psi, dtype=complex)
+    psi = coin_state(psi)
     state = np.zeros((2 * t + 1, 2), dtype=complex)  # index = position + t
     state[t] = psi
     for _ in range(t):

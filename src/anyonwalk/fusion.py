@@ -10,15 +10,16 @@ lexicographic outcome order, which fixes all matrix layouts.
 Braid generators are built through the loop-weight path representation of
 the diagram algebra: e_i acts at charge slot i, couples paths only where the
 neighboring slots agree, and carries weight sqrt(w(c) w(c')) / w(c_left),
-with w the loop weight of a label.  The braid matrix is then
-A * identity + A^-1 * e_i, which makes dense evolution and bracket
-evaluation agree exactly, not merely up to phase.  A row of it has at most
-one off-diagonal entry, so the walk applies ``braid_table``'s gather form
-b_i x = diag * x + off * x[partner]; ``braid_generator`` is the same entries
-as a CSR matrix.  A walk needs only the paths it can reach from the
-vacuum-pair path (``reachable_fusion_space``); the full basis
-(``enumerate_fusion_basis``) and the CSR matrices serve generator dumps and
-oracles.
+with w the loop weight of a label (``AnyonModel.loop_weights``).  The braid
+matrix is then A * identity + A^-1 * e_i, which makes dense evolution and
+bracket evaluation agree exactly, not merely up to phase.  A row of it has
+at most one off-diagonal entry, so the walk applies ``braid_table``'s gather
+form b_i x = diag * x + off * x[partner], built for a sequence of levels at
+once with a leading level axis; ``braid_generator`` and ``tl_generator``
+are one level's entries as a CSR matrix.  A walk needs only the paths it
+can reach from the vacuum-pair path (``reachable_fusion_space``); the full
+basis (``enumerate_fusion_basis``) and the CSR matrices serve generator
+dumps and oracles.
 
 For the level-2 model the same representation has a qubit form built from
 three fixed 2x2 / 4x4 blocks; it is provided for cross-checking.
@@ -124,7 +125,7 @@ def _reach_table(model: AnyonModel, n: int) -> tuple[np.ndarray, list[list[int]]
     if n % 2 or n < 4:
         raise DomainError(f"anyon count must be even and >= 4, got {n}")
     _check_dimension_floor(n)  # so n <= 42, and every count, at most 2^n, fits in int64
-    nlab = min(len(model.labels), n + 1)
+    nlab = min(model.k + 1, n + 1)
     # sigma x q = (q - 1) + (q + 1) within the labels 0..k, so no fusion tensor is read
     steps = np.eye(nlab, k=1, dtype=np.int64) + np.eye(nlab, k=-1, dtype=np.int64)
     reach = np.zeros((nlab, n + 1), dtype=np.int64)
@@ -138,7 +139,7 @@ def _reach_table(model: AnyonModel, n: int) -> tuple[np.ndarray, list[list[int]]
 
 
 def _charge_dtype(model: AnyonModel) -> type:
-    return np.uint8 if len(model.labels) <= 255 else np.int32
+    return np.uint8 if model.k < 255 else np.int32
 
 
 def fusion_dimension(model: AnyonModel, n: int) -> int:
@@ -187,7 +188,7 @@ def reachable_fusion_space(model: AnyonModel, n: int, s0: int, t: int) -> Fusion
     1..n-1, and the caller checks the state budget first, which keeps that
     key within 48 bits.
     """
-    top = len(model.labels) - 1
+    top = model.k
     # the extended path c_0, ..., c_n, vacuum at both ends
     paths = np.array([[model.sigma if j % 2 else model.vacuum for j in range(n + 1)]])
     keys = _path_keys(paths[:, 1:-1])
@@ -227,15 +228,16 @@ def vacuum_pair_state(space: FusionSpace) -> np.ndarray:
     return vec
 
 
-def _tl_table(space: FusionSpace, indices, weights) -> tuple[np.ndarray, ...]:
-    """e_i for each row of loop weights (one per label) and each index as
-    (diag, partner, off): diag and off are (len(weights), len(indices), dim),
-    partner is (len(indices), dim), and e_i x = diag * x + off * x[partner],
-    with partner the row itself where there is none."""
+def _tl_table(space: FusionSpace, indices, models) -> tuple[np.ndarray, ...]:
+    """e_i for each model's loop weights and each index as (diag, partner,
+    off): diag and off are (len(models), len(indices), dim), partner is
+    (len(indices), dim), and e_i x = diag * x + off * x[partner], with
+    partner the row itself where there is none."""
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     if np.any((idx < 1) | (idx > space.n - 1)):
         raise DomainError(f"generator index outside [1, {space.n - 1}]: {idx.tolist()}")
-    w = np.asarray(weights, dtype=float)
+    count = int(space.charges.max()) + 1
+    w = np.array([model.loop_weights(count) for model in models])
     ext = np.pad(space.charges, ((0, 0), (1, 1)))  # c_0..c_n, vacuum at both ends
     left, mid, right = (ext[:, idx + shift].T.astype(np.int64) for shift in (-1, 0, 1))
     fuse = left == right  # strands i, i+1 can fuse to the vacuum
@@ -252,32 +254,23 @@ def _tl_table(space: FusionSpace, indices, weights) -> tuple[np.ndarray, ...]:
     return diag, partner, off
 
 
-def braid_table(space: FusionSpace, indices, models=None) -> tuple[np.ndarray, ...]:
-    """b_i = A * identity + A^-1 * e_i for each index as arrays
-    (diag, partner, off) of shape (len(indices), dim), with
-    b_i x = diag * x + off * x[partner].  Each row has at most one e_i
-    partner, so the form is exact.
-
-    Given ``models``, an iterable of levels that each have a label for every
-    charge of the space, diag and off gain a leading axis holding each
-    level's table; partner is shared.  The models are read one at a time, so
-    a wide batch never holds every level's label tuple.
+def braid_table(space: FusionSpace, indices, models) -> tuple[np.ndarray, ...]:
+    """b_i = A * identity + A^-1 * e_i for each of ``models`` and each index,
+    as arrays (diag, partner, off): diag and off are (len(models),
+    len(indices), dim), partner is (len(indices), dim), and b_i x =
+    diag * x + off * x[partner].  Each row has at most one e_i partner, so
+    the form is exact.  Every model needs a label for each charge of the
+    space; a level at least the space's highest charge reaches its paths.
     """
-    nlab = int(space.charges.max()) + 1
-    amps, weights = [], []
-    for model in [space.model] if models is None else models:
-        if len(model.labels) < nlab:
-            raise DomainError(f"{model.name} lacks labels of the space's charges 0..{nlab - 1}")
-        amps.append(model.A)
-        weights.append(model.weights[:nlab])
-    diag, partner, off = _tl_table(space, indices, weights)
+    diag, partner, off = _tl_table(space, indices, models)
     diag, off = diag.astype(complex), off.astype(complex)
-    for A, d, o in zip(amps, diag, off):
+    for model, d, o in zip(models, diag, off):
+        A = model.A
         inv = 1 / A  # a Python complex: numpy's complex division rounds differently
         d *= inv
         d += A
         o *= inv
-    return (diag[0], partner, off[0]) if models is None else (diag, partner, off)
+    return diag, partner, off
 
 
 def _table_csr(diag: np.ndarray, partner: np.ndarray, off: np.ndarray) -> sp.csr_matrix:
@@ -294,14 +287,15 @@ def _table_csr(diag: np.ndarray, partner: np.ndarray, off: np.ndarray) -> sp.csr
 
 def tl_generator(space: FusionSpace, i: int) -> sp.csr_matrix:
     """The diagram-algebra generator e_i on the fusion basis (Hermitian, e^2 = d e)."""
-    diag, partner, off = _tl_table(space, [i], [space.model.weights])
+    diag, partner, off = _tl_table(space, [i], [space.model])
     return _table_csr(diag[0, 0], partner[0], off[0, 0])
 
 
 def braid_generator(space: FusionSpace, i: int) -> sp.csr_matrix:
     """Unitary braid matrix b_i = A * identity + A^-1 * e_i."""
     if i not in space._braid_cache:
-        space._braid_cache[i] = _table_csr(*(part[0] for part in braid_table(space, [i])))
+        diag, partner, off = braid_table(space, [i], [space.model])
+        space._braid_cache[i] = _table_csr(diag[0, 0], partner[0], off[0, 0])
     return space._braid_cache[i]
 
 

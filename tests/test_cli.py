@@ -379,3 +379,30 @@ def test_readme_command_line_runs(line, tmp_path, monkeypatch, capsys):
     assert main(argv) == 0, capsys.readouterr().err
     if "--to" in argv:
         assert (tmp_path / argv[argv.index("--to") + 1]).stat().st_size > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["su2k", "dist", "--k", "3", "--t", "5", "--n", str(10**12)],
+        ["kauffman", "--n", str(10**12), "--word", "1 -2", "--closure", "markov"],
+    ],
+)
+def test_a_huge_strand_count_is_refused_at_once(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: {10**12} strands exceed the diagram engines' limit of 128"
+    ]
+    assert "Traceback" not in err
+
+
+def test_a_sweep_over_the_highest_levels_is_fast(capsys):
+    # a model is O(1) at any level, and the levels share one evolution
+    start = time.perf_counter()
+    assert main(["su2k", "sweep", "--k", "9901..10000", "--t", "10"]) == 0
+    assert time.perf_counter() - start < 0.5
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == list(range(9901, 10001))

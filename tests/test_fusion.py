@@ -86,7 +86,7 @@ def test_vacuum_pair_state():
 
 def path_model_generator(space, i):
     """e_i from the path-model formula, indexing paths with a dict of charge tuples."""
-    w = space.model.weights
+    w = space.model.loop_weights(space.model.k + 1)
     paths = [(0, *map(int, row), 0) for row in space.charges]
     index = {path: r for r, path in enumerate(paths)}
     e = np.zeros((space.dim, space.dim), dtype=complex)
@@ -259,7 +259,7 @@ def csr_braid_oracle(space, i):
     matrix from its diagonal and partner entries, added to the identity."""
     charges = space.charges
     dim, width = charges.shape
-    w = np.asarray(space.model.weights, dtype=float)
+    w = np.asarray(space.model.loop_weights(space.model.k + 1), dtype=float)
     left = charges[:, i - 2].astype(np.int64) if i >= 2 else np.zeros(dim, dtype=np.int64)
     mid = charges[:, i - 1].astype(np.int64)
     right = charges[:, i].astype(np.int64) if i <= width - 1 else np.zeros(dim, dtype=np.int64)
@@ -282,7 +282,7 @@ def test_braid_table_matches_the_csr_oracle(k):
     rng = np.random.default_rng(k)
     for n in range(4, 13, 2):
         space = enumerate_fusion_basis(build_su2k(k), n)
-        diag, partner, off = braid_table(space, range(1, n))
+        (diag,), partner, (off,) = braid_table(space, range(1, n), [space.model])
         x = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
         for row, i in enumerate(range(1, n)):
             want = csr_braid_oracle(space, i)
@@ -298,7 +298,7 @@ def test_braid_table_matches_the_csr_oracle(k):
             assert np.array_equal(partner[row][partner[row]], np.arange(space.dim))
             assert np.array_equal(moved, off[row] != 0)
     with pytest.raises(DomainError):
-        braid_table(space, [0, 1])
+        braid_table(space, [0, 1], [space.model])
 
 
 def test_level_batched_table_is_each_levels_table():
@@ -307,12 +307,13 @@ def test_level_batched_table_is_each_levels_table():
     indices = range(geom.s0 - 10, geom.s0 + 10)
     space = reachable_fusion_space(build_su2k(80), geom.n, geom.s0, 10)
     levels = [80, 3, 17, 40]
-    diag, partner, off = braid_table(space, indices, map(build_su2k, levels))
+    diag, partner, off = braid_table(space, indices, [build_su2k(k) for k in levels])
     assert diag.shape == off.shape == (len(levels), *partner.shape)
     for row, k in enumerate(levels):
         own = reachable_fusion_space(build_su2k(k), geom.n, geom.s0, 10)
         assert np.array_equal(own.charges, space.charges)
-        for got, want in zip((diag[row], partner, off[row]), braid_table(own, indices)):
+        (own_diag,), own_partner, (own_off,) = braid_table(own, indices, [own.model])
+        for got, want in zip((diag[row], partner, off[row]), (own_diag, own_partner, own_off)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     with pytest.raises(DomainError, match="lacks labels"):
         braid_table(space, indices, [build_su2k(2)])
@@ -321,7 +322,7 @@ def test_level_batched_table_is_each_levels_table():
 def reachable_by_site_oracle(model, n, s0, t):
     """The reachable pass as first written: paths kept per site and
     deduplicated with one np.unique(axis=0) per site and step."""
-    top = len(model.labels) - 1
+    top = model.k
     start = np.array([[model.sigma if j % 2 else model.vacuum for j in range(n + 1)]])
 
     def braided(paths, i):
@@ -357,7 +358,7 @@ def test_reachable_pass_matches_the_per_site_oracle(k):
 
 def untrimmed_dimension(model, n):
     """The path count over every label of the model, however high."""
-    nlab = len(model.labels)
+    nlab = model.k + 1
     reach = np.zeros((nlab, n + 1), dtype=object)
     reach[model.vacuum, 0] = 1
     step_to = [model.fusion_outcomes(q, model.sigma) for q in range(nlab)]

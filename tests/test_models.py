@@ -7,7 +7,6 @@ from anyonwalk.models import (
     DoubleIrrepParams,
     build_dsn,
     build_su2k,
-    parse_model_spec,
 )
 
 
@@ -19,7 +18,6 @@ def test_level_two_data():
     assert m.fusion_outcomes(1, 1) == [0, 2]
     assert m.fusion_outcomes(1, 2) == [1]
     assert m.fusion_outcomes(2, 2) == [0]
-    assert [lab.name for lab in m.labels] == ["1", "σ", "ψ"]
 
 
 def test_level_six_dimension():
@@ -56,7 +54,7 @@ def test_invalid_level_rejected():
 
 def test_fusion_tensor_is_built_on_first_access():
     m = build_su2k(MAX_LEVEL)
-    assert len(m.labels) == len(m.weights) == MAX_LEVEL + 1
+    assert m.loop_weights(MAX_LEVEL + 1)[-1] == pytest.approx(1.0)
     assert "fusion" not in vars(m)
     small = build_su2k(4)
     assert small.fusion is small.fusion
@@ -67,7 +65,7 @@ def test_fusion_tensor_is_built_on_first_access():
 def test_fusion_tensor_properties(k):
     m = build_su2k(k)
     n = m.fusion.astype(int)
-    nlab = len(m.labels)
+    nlab = k + 1
     assert n.max() < 2
     assert np.array_equal(n, n.transpose(1, 0, 2))  # commutativity
     assert np.array_equal(n[0], np.eye(nlab, dtype=int))  # vacuum is the unit
@@ -91,9 +89,16 @@ def test_double_irrep_params():
         DoubleIrrepParams(4)
 
 
-def test_parse_model_spec():
-    assert parse_model_spec("su2k:3").k == 3
-    assert parse_model_spec("dsn:7").N == 7
-    for bad in ("su2k", "su2k:x", "ising:2"):
-        with pytest.raises(DomainError):
-            parse_model_spec(bad)
+@pytest.mark.parametrize("k", [2, 3, 10, 3000])
+def test_loop_weights_are_the_quantum_integers(k):
+    m = build_su2k(k)
+    w = m.loop_weights(k + 1)
+    assert len(w) == k + 1 and w[0] == 1.0
+    assert w[1] == pytest.approx(m.d, abs=1e-12)
+    # w(q) w(1) = w(q-1) + w(q+1), the walker's step rule, and w(k) = 1
+    for q in range(1, k):
+        assert w[q] * w[1] == pytest.approx(w[q - 1] + w[q + 1], abs=1e-9)
+    assert w[k] == pytest.approx(1.0, abs=1e-9)
+    assert m.loop_weights(3) == w[:3]
+    with pytest.raises(DomainError, match="lacks labels"):
+        m.loop_weights(k + 2)

@@ -16,7 +16,6 @@ from anyonwalk.fusion import (
     fusion_dimension,
     reachable_fusion_space,
     su22_qubit_generator,
-    vacuum_pair_state,
 )
 from anyonwalk.models import AnyonModel, build_su2k
 from anyonwalk.nonabelian import (
@@ -142,10 +141,11 @@ def test_support_and_positivity():
 
 
 def test_trivial_braiding_reduces_to_standard_walk(monkeypatch):
-    def identity(space, indices):
+    def identity(space, indices, models):
         shape = (len(indices), space.dim)
         partner = np.broadcast_to(np.arange(space.dim), shape)
-        return np.ones(shape, dtype=complex), partner, np.zeros(shape, dtype=complex)
+        levels = (len(models), *shape)
+        return np.ones(levels, dtype=complex), partner, np.zeros(levels, dtype=complex)
 
     monkeypatch.setattr(nonabelian, "braid_table", identity)
     model = build_su2k(5)
@@ -160,9 +160,9 @@ def test_dense_walk_braids_only_reachable_sites(monkeypatch):
     # exactly the 2t generators s0 - t .. s0 + t - 1, each built once
     built = []
 
-    def recording(space, indices):
+    def recording(space, indices, models):
         built.append(list(indices))
-        return braid_table(space, indices)
+        return braid_table(space, indices, models)
 
     monkeypatch.setattr(nonabelian, "braid_table", recording)
     model = build_su2k(3)
@@ -174,11 +174,10 @@ def test_dense_walk_braids_only_reachable_sites(monkeypatch):
         assert meta["generators"] == 2 * t
 
 
-def full_space_rep(model, n, s0, t):
-    # the dense engine's representation before the reachable-path pass: every
+def full_space(model, n, s0, t):
+    # the dense engine's space before the reachable-path pass: every
     # admissible fusion path of n anyons, whatever the walk reaches
-    space = enumerate_fusion_basis(model, n)
-    return space.dim, space.dim, vacuum_pair_state(space), braid_table(space, range(s0 - t, s0 + t))
+    return enumerate_fusion_basis(model, n)
 
 
 def oracle_cases():
@@ -197,7 +196,7 @@ def test_reachable_paths_match_the_full_fusion_space(monkeypatch):
         for coin in ("H", "U"):
             reachable = [distribution_dense(model, geom, t, coin=coin) for geom, t in cases]
             with monkeypatch.context() as patched:
-                patched.setattr(nonabelian, "_fusion_rep", full_space_rep)
+                patched.setattr(nonabelian, "reachable_fusion_space", full_space)
                 full = [distribution_dense(model, geom, t, coin=coin) for geom, t in cases]
             for got, want in zip(reachable, full):
                 assert got.positions == want.positions
@@ -237,7 +236,8 @@ def test_qubit_table_matches_the_qubit_generators(n):
     # two start sites, so the tables cover every generator 1..n-1
     for s0 in (n // 2, n // 2 + 1):
         t = n // 2 - 1
-        dim, _, _, (diag, partner, off) = nonabelian._qubit_rep(model, n, s0, t)
+        alpha, (diag,), partner, (off,) = nonabelian._qubit_rep(model, n, s0, t)
+        dim = len(alpha)
         for row, i in enumerate(range(s0 - t, s0 + t)):
             mat = np.diag(diag[row])
             mat[np.arange(dim), partner[row]] += off[row]
@@ -460,3 +460,20 @@ def test_engine_dispatch():
     assert walk_distribution(model, 6).meta["engine"] == "dense"
     with pytest.raises(DomainError):
         walk_distribution(model, 3, engine="nope")
+
+
+@pytest.mark.parametrize("psi", [[1, 0, 0], [1, 1]])
+def test_a_bad_coin_state_is_a_precondition_failure(psi):
+    # a violated precondition, refused before any walk: not a numpy
+    # broadcasting error, nor a NumericError from the probabilities' sum
+    model = build_su2k(3)
+    for run in (
+        lambda: walk_distribution(model, 6, engine="dense", psi=psi),
+        lambda: walk_distribution(model, 4, engine="pathsum", psi=psi),
+        lambda: nonabelian.sweep_distances([2, 3, 40], t=4, psi=psi),
+        lambda: baseline_quantum(4, psi=psi),
+        lambda: coin_trace((0, 1), (0, 1), psi=psi),
+        lambda: coin_trace((0, 1), (0, 0), psi=psi),
+    ):
+        with pytest.raises(DomainError, match="normalized 2-vector"):
+            run()

@@ -288,3 +288,14 @@ def test_refused_expansion_never_builds_past_the_budget(monkeypatch):
     sizes.clear()
     assert markov_bracket(fits) == expected
     assert max(sizes) == budget
+
+
+def test_strand_count_is_capped_for_words_and_walks():
+    from anyonwalk.nonabelian import WalkGeometry
+
+    assert BraidWord(tl.MAX_STRANDS, (1, -2)).n == tl.MAX_STRANDS
+    assert WalkGeometry(tl.MAX_STRANDS, 3).n == tl.MAX_STRANDS
+    with pytest.raises(DomainError, match="strands"):
+        BraidWord(tl.MAX_STRANDS + 1, (1,))
+    with pytest.raises(DomainError, match="strands"):
+        WalkGeometry(tl.MAX_STRANDS + 2, 3)
