@@ -259,14 +259,14 @@ def _run_su2k(args) -> ResultEnvelope:
     from .nonabelian import sweep_distances, walk_distribution
 
     if args.subcommand == "dist":
-        if args.n is not None and args.n % 4 != 2:
+        dist = walk_distribution(
+            build_su2k(args.k), args.t, n=args.n, engine=args.engine, coin=args.coin
+        )
+        if args.n is not None and args.n % 4 != 2:  # warned only once the layout is accepted
             print(
                 f"warning: n={args.n} has n/2 even; centered vacuum pairing needs n = 2 mod 4",
                 file=sys.stderr,
             )
-        dist = walk_distribution(
-            build_su2k(args.k), args.t, n=args.n, engine=args.engine, coin=args.coin
-        )
         return _distribution_envelope(dist)
     if args.subcommand == "sweep":
         rows = sweep_distances(_parse_ints(args.k), t=args.t, coin=args.coin)

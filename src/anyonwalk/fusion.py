@@ -16,10 +16,10 @@ bracket evaluation agree exactly, not merely up to phase.  A row of it has
 at most one off-diagonal entry, so the walk applies ``braid_table``'s gather
 form b_i x = diag * x + off * x[partner], built for a sequence of levels at
 once with a leading level axis; ``braid_generator`` and ``tl_generator``
-are one level's entries as a CSR matrix.  A walk needs only the paths it
-can reach from the vacuum-pair path (``reachable_fusion_space``); the full
-basis (``enumerate_fusion_basis``) and the CSR matrices serve generator
-dumps and oracles.
+are one level's entries as a scipy CSR matrix, built on each call.  A walk
+needs only the paths it can reach from the vacuum-pair path
+(``reachable_fusion_space``); the full basis (``enumerate_fusion_basis``)
+and the CSR matrices, the only users of scipy, serve dumps and oracles.
 
 For the level-2 model the same representation has a qubit form built from
 three fixed 2x2 / 4x4 blocks; it is provided for cross-checking.
@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DomainError
 from .models import AnyonModel
@@ -85,9 +84,8 @@ class FusionSpace:
 
     model: AnyonModel
     n: int
-    charges: np.ndarray  # (dim, n-1) intermediate charges c_1..c_{n-1}
+    charges: np.ndarray  # (dim, n-1) uint8 charges c_1..c_{n-1}, at most 21 as n <= 42
     keys: np.ndarray = field(init=False, repr=False)  # sorted path keys, one per row
-    _braid_cache: dict[int, sp.csr_matrix] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.keys = _path_keys(self.charges)
@@ -116,9 +114,9 @@ class FusionSpace:
         raise DomainError(f"outcome tuple {outcomes} is not an admissible basis state")
 
 
-def _reach_table(model: AnyonModel, n: int) -> tuple[np.ndarray, list[list[int]]]:
+def _reach_table(model: AnyonModel, n: int) -> np.ndarray:
     """reach[q][r], the number of ways charge q fuses down to the vacuum in
-    exactly r more steps, and the charges one step from each charge.
+    exactly r more steps.
 
     Only labels q <= n are counted: label q needs q steps to fuse back to the
     vacuum, so a larger one never lies on an n-anyon path."""
@@ -132,47 +130,36 @@ def _reach_table(model: AnyonModel, n: int) -> tuple[np.ndarray, list[list[int]]
     reach[model.vacuum, 0] = 1
     for r in range(1, n + 1):
         reach[:, r] = steps @ reach[:, r - 1]
-    step_to = [np.flatnonzero(row).tolist() for row in steps]
     if not reach[model.sigma, n - 1]:
         raise DomainError(f"no admissible fusion paths for {model.name} with n={n}")
-    return reach, step_to
-
-
-def _charge_dtype(model: AnyonModel) -> type:
-    return np.uint8 if model.k < 255 else np.int32
+    return reach
 
 
 def fusion_dimension(model: AnyonModel, n: int) -> int:
     """Number of admissible charge paths, counted without listing them."""
-    return int(_reach_table(model, n)[0][model.sigma, n - 1])
+    return int(_reach_table(model, n)[model.sigma, n - 1])
 
 
 def enumerate_fusion_basis(model: AnyonModel, n: int) -> FusionSpace:
     """Enumerate all admissible charge paths, in lexicographic outcome order.
 
     The paths are counted first, so a space over the dense state budget is
-    refused before any of it is listed.
+    refused before any of it is listed.  Then every path is extended one
+    slot at a time, its step down before its step up, so rows stay in
+    lexicographic order; a child is kept only if it can still fuse to the
+    vacuum in the steps left.
     """
-    reach, step_to = _reach_table(model, n)
-    sigma = model.sigma
-    check_state_budget(n, int(reach[sigma, n - 1]))
-
-    paths: list[tuple[int, ...]] = []
-    prefix = [0] * (n - 1)
-    prefix[0] = sigma
-
-    def extend(slot: int, q: int) -> None:
-        if slot == n - 1:
-            if reach[q, 1]:
-                paths.append(tuple(prefix))
-            return
-        for c in step_to[q]:
-            if reach[c, n - slot - 1]:
-                prefix[slot] = c
-                extend(slot + 1, c)
-
-    extend(1, sigma)
-    return FusionSpace(model=model, n=n, charges=np.array(paths, dtype=_charge_dtype(model)))
+    reach = _reach_table(model, n)
+    check_state_budget(n, int(reach[model.sigma, n - 1]))
+    # live[c + 1, r]: charge c fuses to the vacuum in r steps; the padding
+    # rows refuse the charges -1 and len(reach)
+    live = np.pad(reach > 0, ((1, 1), (0, 0)))
+    paths = np.full((1, 1), model.sigma, dtype=np.uint8)
+    for slot in range(1, n - 1):
+        child = paths[:, -1, None].astype(np.int64) + [-1, 1]
+        parent, step = np.nonzero(live[child + 1, n - 1 - slot])
+        paths = np.concatenate([paths[parent], child[parent, step, None].astype(np.uint8)], axis=1)
+    return FusionSpace(model=model, n=n, charges=paths)
 
 
 def reachable_fusion_space(model: AnyonModel, n: int, s0: int, t: int) -> FusionSpace:
@@ -214,7 +201,7 @@ def reachable_fusion_space(model: AnyonModel, n: int, s0: int, t: int) -> Fusion
     # every site passes its paths on to both neighbors, so the last step holds
     # every path met before; key order is lexicographic path order
     _, first = np.unique(keys, return_index=True)
-    return FusionSpace(model=model, n=n, charges=paths[first, 1:-1].astype(_charge_dtype(model)))
+    return FusionSpace(model=model, n=n, charges=paths[first, 1:-1].astype(np.uint8))
 
 
 def vacuum_pair_state(space: FusionSpace) -> np.ndarray:
@@ -273,8 +260,10 @@ def braid_table(space: FusionSpace, indices, models) -> tuple[np.ndarray, ...]:
     return diag, partner, off
 
 
-def _table_csr(diag: np.ndarray, partner: np.ndarray, off: np.ndarray) -> sp.csr_matrix:
+def _table_csr(diag: np.ndarray, partner: np.ndarray, off: np.ndarray):
     """The matrix of one (diag, partner, off) table row, with its nonzeros only."""
+    import scipy.sparse as sp  # only the CSR views need scipy
+
     rows = np.arange(len(diag))
     mat = sp.csr_matrix(
         (np.concatenate([diag, off]), (np.tile(rows, 2), np.concatenate([rows, partner]))),
@@ -285,18 +274,16 @@ def _table_csr(diag: np.ndarray, partner: np.ndarray, off: np.ndarray) -> sp.csr
     return mat
 
 
-def tl_generator(space: FusionSpace, i: int) -> sp.csr_matrix:
+def tl_generator(space: FusionSpace, i: int):
     """The diagram-algebra generator e_i on the fusion basis (Hermitian, e^2 = d e)."""
     diag, partner, off = _tl_table(space, [i], [space.model])
     return _table_csr(diag[0, 0], partner[0], off[0, 0])
 
 
-def braid_generator(space: FusionSpace, i: int) -> sp.csr_matrix:
+def braid_generator(space: FusionSpace, i: int):
     """Unitary braid matrix b_i = A * identity + A^-1 * e_i."""
-    if i not in space._braid_cache:
-        diag, partner, off = braid_table(space, [i], [space.model])
-        space._braid_cache[i] = _table_csr(diag[0, 0], partner[0], off[0, 0])
-    return space._braid_cache[i]
+    diag, partner, off = braid_table(space, [i], [space.model])
+    return _table_csr(diag[0, 0], partner[0], off[0, 0])
 
 
 # fixed blocks of the level-2 qubit representation
@@ -322,24 +309,13 @@ def su22_qubit_generator(n: int, i: int) -> np.ndarray:
     if not 1 <= i <= n - 1:
         raise DomainError(f"generator index {i} outside [1, {n - 1}]")
     m = n // 2 - 1
-
-    def embed(block: np.ndarray, first_qubit: int) -> np.ndarray:
-        nq = int(math.log2(block.shape[0]))
-        mat = np.eye(1, dtype=complex)
-        q = 1
-        while q <= m:
-            if q == first_qubit:
-                mat = np.kron(mat, block)
-                q += nq
-            else:
-                mat = np.kron(mat, np.eye(2, dtype=complex))
-                q += 1
-        return mat
-
-    if i == 1:
-        return embed(_R_BLOCK, 1)
-    if i == n - 1:
-        return embed(_R_BLOCK, m)
-    if i % 2 == 0:
-        return embed(_B_BLOCK, i // 2)
-    return embed(_A_BLOCK, (i - 1) // 2)
+    if i in (1, n - 1):
+        block, first = _R_BLOCK, 1 if i == 1 else m
+    elif i % 2 == 0:
+        block, first = _B_BLOCK, i // 2
+    else:
+        block, first = _A_BLOCK, (i - 1) // 2
+    # identities on the qubits left and right of the block's
+    left = np.eye(2 ** (first - 1), dtype=complex)
+    right = np.eye(2 ** (m + 1 - first - (len(block).bit_length() - 1)), dtype=complex)
+    return np.kron(np.kron(left, block), right)

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -128,7 +131,46 @@ def test_output_file(tmp_path):
 
 def test_noncentered_layout_warns(capsys):
     assert main(["su2k", "dist", "--k", "2", "--t", "2", "--n", "8"]) == 0
-    assert "n = 2 mod 4" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "n = 2 mod 4" in err[0]
+
+
+@pytest.mark.parametrize("n", [str(10**12), "7", "8"])
+def test_a_refused_layout_prints_no_warning(n, capsys):
+    assert main(["su2k", "dist", "--k", "3", "--t", "5", "--n", n]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_only_the_generator_dump_imports_scipy():
+    # a fresh process, so no other test has loaded scipy into it
+    commands = [
+        ["abelian", "variance", "--phi", "0,pi/3", "--t", "4", "--analytic"],
+        ["su2k", "dist", "--k", "3", "--t", "4", "--engine", "dense"],
+        ["su2k", "dist", "--k", "3", "--t", "4", "--engine", "pathsum"],
+        ["su2k", "sweep", "--k", "2..5", "--t", "4"],
+        ["dsn", "dist", "--N", "5", "--t", "3"],
+        ["kauffman", "--n", "4", "--word", "1 -2 3", "--closure", "plat", "--exact"],
+        ["kauffman", "--n", "3", "--word", "1 -2 1", "--closure", "markov", "--k", "3"],
+        ["baseline", "quantum", "--t", "4"],
+        ["baseline", "classical", "--t", "4"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from anyonwalk.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_number_parser_accepts_only_signed_products():

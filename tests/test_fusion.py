@@ -38,25 +38,26 @@ def test_level_two_dimensions():
 
 
 def test_dimension_saturates_at_catalan():
-    # brute-force oracle: count admissible outcome sequences directly
-    def count_paths(model, n):
+    # brute-force oracle: list the admissible outcome sequences directly
+    def list_paths(model, n):
         sigma = model.sigma
-        total = 0
-        stack = [(sigma, 1)]
+        paths = []
+        stack = [(sigma,)]
         while stack:
-            charge, used = stack.pop()
-            if used == n - 1:
-                total += model.fusion[charge, sigma, 0]
+            path = stack.pop()
+            if len(path) == n - 1:
+                if model.fusion[path[-1], sigma, 0]:
+                    paths.append(path[1:])
                 continue
-            for nxt in model.fusion_outcomes(charge, sigma):
-                stack.append((nxt, used + 1))
-        return int(total)
+            for nxt in model.fusion_outcomes(path[-1], sigma):
+                stack.append((*path, nxt))
+        return sorted(paths)
 
     n = 12
     dims = []
     for k in (2, 3, 4, 5, 6, 7):
         space = enumerate_fusion_basis(build_su2k(k), n)
-        assert space.dim == count_paths(space.model, n)
+        assert space.basis == list_paths(space.model, n)  # the same paths, in lexicographic order
         dims.append(space.dim)
     assert dims == sorted(dims)
     assert dims[-1] == catalan(n // 2)  # saturated once k >= n/2
@@ -373,3 +374,11 @@ def test_dimension_counts_only_labels_the_paths_can_reach():
         model = build_su2k(k)
         for n in range(4, 43, 2):
             assert fusion_dimension(model, n) == untrimmed_dimension(model, n)
+
+
+def test_charges_are_one_byte_at_every_level():
+    # the state budget caps n at 42, so no charge passes 21 however high the level
+    low = enumerate_fusion_basis(build_su2k(40), 16)
+    high = enumerate_fusion_basis(build_su2k(3000), 16)
+    assert high.charges.dtype == low.charges.dtype == np.uint8
+    assert np.array_equal(high.charges, low.charges)
