@@ -256,7 +256,7 @@ def _run_abelian(args) -> ResultEnvelope:
 
 def _run_su2k(args) -> ResultEnvelope:
     from .models import build_su2k
-    from .nonabelian import sweep_distances, walk_distribution
+    from .nonabelian import reachable_passes, sweep_distances, walk_distribution
 
     if args.subcommand == "dist":
         dist = walk_distribution(
@@ -269,12 +269,14 @@ def _run_su2k(args) -> ResultEnvelope:
             )
         return _distribution_envelope(dist)
     if args.subcommand == "sweep":
+        passes = reachable_passes()
         rows = sweep_distances(_parse_ints(args.k), t=args.t, coin=args.coin)
         return _tabular(
             "distance-sweep",
             ["k", "d_q", "d_c"],
             rows,
-            {"tool_version": __version__, "t": args.t, "coin": args.coin},
+            {"tool_version": __version__, "t": args.t, "coin": args.coin,
+             "reachable_passes": reachable_passes() - passes},
         )
     # generators
     from .fusion import braid_generator, enumerate_fusion_basis, fusion_dimension

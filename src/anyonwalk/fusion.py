@@ -14,9 +14,14 @@ with w the loop weight of a label (``AnyonModel.loop_weights``).  The braid
 matrix is then A * identity + A^-1 * e_i, which makes dense evolution and
 bracket evaluation agree exactly, not merely up to phase.  A row of it has
 at most one off-diagonal entry, so the walk applies ``braid_table``'s gather
-form b_i x = diag * x + off * x[partner], built for a sequence of levels at
-once with a leading level axis; ``braid_generator`` and ``tl_generator``
-are one level's entries as a scipy CSR matrix, built on each call.  A walk
+form b_i x = diag * x + off * x[partner].  It is built in two halves:
+``tl_rows`` finds the partner rows and the charges the weights read, which
+no level changes, and ``braid_weights`` turns them into diag and off for a
+sequence of levels at once, with a leading level axis.  The dense walk keeps
+the first half in its walk plan, reused for a repeated geometry within a
+process (``nonabelian._walk_plan``).  ``braid_generator`` and
+``tl_generator`` are one level's entries as a scipy CSR matrix, built on
+each call.  A walk
 needs only the paths it can reach from the vacuum-pair path
 (``reachable_fusion_space``); the full basis (``enumerate_fusion_basis``)
 and the CSR matrices, the only users of scipy, serve dumps and oracles.
@@ -215,41 +220,59 @@ def vacuum_pair_state(space: FusionSpace) -> np.ndarray:
     return vec
 
 
-def _tl_table(space: FusionSpace, indices, models) -> tuple[np.ndarray, ...]:
-    """e_i for each model's loop weights and each index as (diag, partner,
-    off): diag and off are (len(models), len(indices), dim), partner is
-    (len(indices), dim), and e_i x = diag * x + off * x[partner], with
-    partner the row itself where there is none."""
+@dataclass(frozen=True, eq=False)
+class TLRows:
+    """The level-independent half of e_i for a sequence of indices on one
+    space: each array is (len(indices), dim), and ``labels`` is the number
+    of labels a level's loop weights must cover, one above the space's
+    highest charge."""
+
+    partner: np.ndarray  # int32 row each row couples to, the row itself where there is none
+    fuse: np.ndarray  # bool: strands i, i+1 can fuse to the vacuum
+    found: np.ndarray  # bool: the row has a partner in the space
+    left: np.ndarray  # uint8 charges c_{i-1}, c_i and the partner's c_i,
+    mid: np.ndarray  # the only ones the weights read
+    mid_partner: np.ndarray
+    labels: int
+
+
+def tl_rows(space: FusionSpace, indices) -> TLRows:
+    """The gather structure of e_i for each index, before any loop weight."""
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     if np.any((idx < 1) | (idx > space.n - 1)):
         raise DomainError(f"generator index outside [1, {space.n - 1}]: {idx.tolist()}")
-    count = int(space.charges.max()) + 1
-    w = np.array([model.loop_weights(count) for model in models])
-    ext = np.pad(space.charges, ((0, 0), (1, 1)))  # c_0..c_n, vacuum at both ends
-    left, mid, right = (ext[:, idx + shift].T.astype(np.int64) for shift in (-1, 0, 1))
-    fuse = left == right  # strands i, i+1 can fuse to the vacuum
-    diag = np.where(fuse, w[:, mid] / w[:, left], 0.0)
+    # row j is charge c_j of every path, c_0..c_n, vacuum at both ends
+    ext = np.ascontiguousarray(np.pad(space.charges, ((0, 0), (1, 1))).T)
+    left, mid, right = (ext[idx + shift] for shift in (-1, 0, 1))
     # the partner path swaps steps i and i+1 (up-down <-> down-up), so its key
     # differs in two adjacent bits; flipping two equal steps would change the
     # final charge, so only rows that fuse find one, and partners outside the
     # truncated space are absent
     flips = np.uint64(3) << (space.n - 1 - idx).astype(np.uint64)
     at, found = space._find(space.keys[None, :] ^ flips[:, None])
-    partner = np.where(found, at, np.arange(space.dim))
-    mid_partner = np.take_along_axis(mid, partner, axis=1)
-    off = np.where(found, np.sqrt(w[:, mid] * w[:, mid_partner]) / w[:, left], 0.0)
-    return diag, partner, off
+    partner = np.where(found, at, np.arange(space.dim)).astype(np.int32)
+    return TLRows(
+        partner, left == right, found, left, mid, np.take_along_axis(mid, partner, axis=1),
+        int(space.charges.max()) + 1,
+    )
 
 
-def braid_table(space: FusionSpace, indices, models) -> tuple[np.ndarray, ...]:
-    """b_i = A * identity + A^-1 * e_i for each of ``models`` and each index,
-    as arrays (diag, partner, off): diag and off are (len(models),
-    len(indices), dim), partner is (len(indices), dim), and b_i x =
-    diag * x + off * x[partner].  Each row has at most one e_i partner, so
-    the form is exact.  Every model needs a label for each charge of the
-    space; a level at least the space's highest charge reaches its paths.
-    """
-    diag, partner, off = _tl_table(space, indices, models)
+def _tl_weights(rows: TLRows, models) -> tuple[np.ndarray, np.ndarray]:
+    """e_i for each model's loop weights as (diag, off), each (len(models),
+    len(indices), dim): e_i x = diag * x + off * x[partner]."""
+    w = np.array([model.loop_weights(rows.labels) for model in models])
+    left, mid = w[:, rows.left], w[:, rows.mid]
+    diag = np.where(rows.fuse, mid / left, 0.0)
+    off = np.where(rows.found, np.sqrt(mid * w[:, rows.mid_partner]) / left, 0.0)
+    return diag, off
+
+
+def braid_weights(rows: TLRows, models) -> tuple[np.ndarray, np.ndarray]:
+    """b_i = A * identity + A^-1 * e_i for each of ``models`` as (diag, off),
+    each (len(models), len(indices), dim): b_i x = diag * x + off *
+    x[rows.partner].  Every model needs a label for each charge of the
+    space; a level at least the space's highest charge reaches its paths."""
+    diag, off = _tl_weights(rows, models)
     diag, off = diag.astype(complex), off.astype(complex)
     for model, d, o in zip(models, diag, off):
         A = model.A
@@ -257,7 +280,17 @@ def braid_table(space: FusionSpace, indices, models) -> tuple[np.ndarray, ...]:
         d *= inv
         d += A
         o *= inv
-    return diag, partner, off
+    return diag, off
+
+
+def braid_table(space: FusionSpace, indices, models) -> tuple[np.ndarray, ...]:
+    """b_i for each of ``models`` and each index as arrays (diag, partner,
+    off): diag and off are (len(models), len(indices), dim), partner is
+    (len(indices), dim), and b_i x = diag * x + off * x[partner].  Each row
+    has at most one e_i partner, so the form is exact."""
+    rows = tl_rows(space, indices)
+    diag, off = braid_weights(rows, models)
+    return diag, rows.partner, off
 
 
 def _table_csr(diag: np.ndarray, partner: np.ndarray, off: np.ndarray):
@@ -276,8 +309,9 @@ def _table_csr(diag: np.ndarray, partner: np.ndarray, off: np.ndarray):
 
 def tl_generator(space: FusionSpace, i: int):
     """The diagram-algebra generator e_i on the fusion basis (Hermitian, e^2 = d e)."""
-    diag, partner, off = _tl_table(space, [i], [space.model])
-    return _table_csr(diag[0, 0], partner[0], off[0, 0])
+    rows = tl_rows(space, [i])
+    diag, off = _tl_weights(rows, [space.model])
+    return _table_csr(diag[0, 0], rows.partner[0], off[0, 0])
 
 
 def braid_generator(space: FusionSpace, i: int):

@@ -16,9 +16,14 @@ Two engines compute P(s, t):
   over all sites and both directions at once.  One routine,
   ``_dense_levels``, runs it with a level axis, for one level here and for
   many in ``sweep_distances``: levels whose walks reach the same paths
-  share one reachable pass and one evolution, since truncating the labels
-  at k changes nothing once k is at least the highest charge the walk
-  reaches (k >= 3 at t = 10).
+  share one evolution, since truncating the labels at k changes nothing
+  once k is at least the highest charge the walk reaches (k >= 3 at
+  t = 10).  What such a group shares and no level's weights change (the
+  reachable paths, the start vector, the level-independent half of the
+  gather table) is a walk plan, built by one reachable pass and reused for
+  a repeated geometry within a process, at most ``PLAN_CACHE_SIZE`` (16)
+  plans; a planned walk computes only its loop weights, A and the
+  evolution.
 * ``distribution_pathsum`` evolves the same walk on planar cup diagrams: each
   site and coin holds a map from diagrams to coefficients, a braid letter
   acts by the skein relation b_i = A + A^-1 e_i, and P(s) is the plat-closure
@@ -37,6 +42,8 @@ engine calls them, they are kept as public oracles.
 from __future__ import annotations
 
 import itertools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +51,15 @@ import numpy as np
 from .distribution import Distribution, coin_matrix, coin_state
 from .errors import BoundaryError, DomainError, NumericError
 from .fusion import (
+    TLRows,
     braid_generator,  # noqa: F401  (perfbench's tracer wraps this name)
-    braid_table,
+    braid_weights,
     check_state_budget,
     enumerate_fusion_basis,  # noqa: F401  (perfbench's tracer wraps this name)
     fusion_dimension,
     reachable_fusion_space,
     su22_qubit_generator,
+    tl_rows,
     vacuum_pair_state,
 )
 from .models import AnyonModel
@@ -290,15 +299,28 @@ def _qubit_rep(model: AnyonModel, n: int, s0: int, t: int):
     return alpha, diag[None], partner, off[None]
 
 
-def _evolve(diag, partner, off, alpha, t: int, c: np.ndarray, psi: np.ndarray) -> np.ndarray:
+def _gather_index(partner: np.ndarray, t: int) -> tuple[np.ndarray, ...]:
+    """Each step's gather x[partner] as flat indices into that step's tossed
+    rows: step r reads the table rows t - r - 1 .. t + r of the (2t, dim)
+    ``partner`` table (see ``_evolve``)."""
+    dim = partner.shape[1]
+    flat = partner + np.arange(2 * t)[:, None] * dim  # at most 2t * dim < 2^26
+    return tuple(
+        (flat[t - r - 1 : t + r + 1] - (t - r - 1) * dim).astype(np.int32).ravel()
+        for r in range(t)
+    )
+
+
+def _evolve(diag, off, gather, alpha, t: int, c: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """P(s) after t steps for each of a group of levels, as (levels, t + 1).
 
-    The levels share the start vector ``alpha`` and the gather table
-    ``partner`` (2t, dim) of generators s0 - t .. s0 + t - 1; ``diag`` and
-    ``off`` are (levels, 2t, dim).  Only the reachable sites are stored:
-    after r steps, block [l, j] is the (2, dim) coin x fusion amplitude of
-    level l at site s0 - r + 2j.  Each step tosses the coin and applies every
-    level's and site's generator at once, as diag * x + off * x[partner].
+    The levels share the start vector ``alpha`` and the gather table of
+    generators s0 - t .. s0 + t - 1, given as each step's flat ``gather``
+    index (``_gather_index``); ``diag`` and ``off`` are (levels, 2t, dim).
+    Only the reachable sites are stored: after r steps, block [l, j] is the
+    (2, dim) coin x fusion amplitude of level l at site s0 - r + 2j.  Each
+    step tosses the coin and applies every level's and site's generator at
+    once, as diag * x + off * x[partner].
     """
     levels, _, dim = diag.shape
     state = np.tile(psi[:, None] * alpha[None, :], (levels, 1, 1, 1))
@@ -308,7 +330,8 @@ def _evolve(diag, partner, off, alpha, t: int, c: np.ndarray, psi: np.ndarray) -
         # new site s + 2a - 1: the rows of this step are one slice
         rows = slice(t - r - 1, t + r + 1)
         tossed = np.einsum("ij,lsjd->lsid", c, state).reshape(levels, 2 * r + 2, dim)
-        braided = np.take_along_axis(tossed, partner[None, rows], axis=2)
+        braided = np.take(tossed.reshape(levels, -1), gather[r], axis=1)
+        braided = braided.reshape(levels, 2 * r + 2, dim)
         braided *= off[:, rows]
         tossed *= diag[:, rows]
         braided += tossed
@@ -331,20 +354,90 @@ def _sizes(full: int, diag: np.ndarray, off: np.ndarray) -> dict:
     }
 
 
+@dataclass(frozen=True, eq=False)
+class _WalkPlan:
+    """What a dense t-step walk from s0 needs that no level's loop weights or
+    A change: the vacuum start vector ``alpha`` on the paths it reaches, the
+    level-independent half ``table`` of the generators s0 - t .. s0 + t - 1
+    and each step's flat ``gather`` index."""
+
+    alpha: np.ndarray
+    table: TLRows
+    gather: tuple[np.ndarray, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.alpha)
+
+    @property
+    def top(self) -> int:
+        """The highest charge the walk's paths reach."""
+        return self.table.labels - 1
+
+
+#: walk plans kept per process, the least recently used dropped first.  A plan
+#: at t <= 12 takes at most 0.23 MB, and a sweep or walk at one geometry needs
+#: one or two.  The largest plan the dense state budget admits (k=2, t=20:
+#: 3328 paths) takes 6.8 MB, most of it the gather index, and the 16 largest
+#: (k=2, t=15..20, every layout) 33 MB together
+PLAN_CACHE_SIZE = 16
+
+_plans: OrderedDict[tuple, _WalkPlan] = OrderedDict()
+_plans_lock = threading.Lock()
+_passes = 0
+
+
+def reachable_passes() -> int:
+    """Reachable passes run so far in this process: a walk or sweep whose
+    geometry was planned before runs none."""
+    return _passes
+
+
+def _walk_plan(model: AnyonModel, n: int, s0: int, t: int) -> _WalkPlan:
+    """The plan of a t-step walk from s0 on n anyons at ``model``'s level,
+    reused from an earlier call where its paths are the same.
+
+    A partner charge is mid +- 2 where its neighbors are mid +- 1, so a pass
+    at level k whose paths reach no charge above m < k proposed none above
+    m + 1 <= k and cut none for exceeding k: every level >= m reaches the
+    same paths, and the plan serves them all.  A plan with m = k serves level
+    k alone.  Either way a level with no plan runs exactly one pass.
+    """
+    global _passes
+    with _plans_lock:
+        for key in ((n, s0, t, None), (n, s0, t, model.k)):
+            plan = _plans.get(key)
+            if plan is not None and plan.top <= model.k:
+                _plans.move_to_end(key)
+                return plan
+    space = reachable_fusion_space(model, n, s0, t)
+    table = tl_rows(space, range(s0 - t, s0 + t))
+    plan = _WalkPlan(vacuum_pair_state(space), table, _gather_index(table.partner, t))
+    # every caller shares the plan's arrays
+    for array in (plan.alpha, *plan.gather, table.partner, table.fuse, table.found, table.left,
+                  table.mid, table.mid_partner):
+        array.flags.writeable = False
+    with _plans_lock:
+        _passes += 1
+        _plans[n, s0, t, model.k if plan.top == model.k else None] = plan
+        if len(_plans) > PLAN_CACHE_SIZE:
+            _plans.popitem(last=False)
+    return plan
+
+
 def _dense_levels(models, n: int, s0: int, t: int, c: np.ndarray, psi: np.ndarray):
     """P(s) after t steps from site s0 for each of ``models``, as a map from
     level to row, and the sizes of the highest level's walk.
 
-    Levels are walked in groups that share a fusion space.  One reachable
-    pass at the highest pending level K, after the state budget is checked
-    there, finds the paths and their highest charge m.  Truncating the labels
-    at k rejects only partners above k, and no path goes above m, so every
-    level in [m, K] reaches exactly these paths: the group shares the pass,
-    the start vector and the gather table of the generators s0 - t .. s0 +
-    t - 1, the only ones a t-step walk applies, and evolves in one
-    ``_evolve`` call with its own loop weights and A per level, in chunks of
-    levels if it would hold more than ``SWEEP_CHUNK_AMPLITUDES`` per array.
-    The levels below m form the next group.
+    Levels are walked in groups that share a fusion space.  After the state
+    budget is checked at the highest pending level K, its plan
+    (``_walk_plan``) gives the paths and their highest charge m.  Truncating
+    the labels at k rejects only partners above k, and no path goes above m,
+    so every level in [m, K] reaches exactly these paths: the group shares
+    the plan, and evolves in one ``_evolve`` call with its own loop weights
+    and A per level, in chunks of levels if it would hold more than
+    ``SWEEP_CHUNK_AMPLITUDES`` per array.  The levels below m form the next
+    group.
     """
     rows, sizes = {}, None
     pending = sorted(models, key=lambda model: model.k, reverse=True)
@@ -352,17 +445,15 @@ def _dense_levels(models, n: int, s0: int, t: int, c: np.ndarray, psi: np.ndarra
         # counted in milliseconds, so an oversized walk is refused before the pass
         full = fusion_dimension(pending[0], n)
         check_state_budget(n, full)
-        space = reachable_fusion_space(pending[0], n, s0, t)
-        m = int(space.charges.max())
-        group = [model for model in pending if model.k >= m]
+        plan = _walk_plan(pending[0], n, s0, t)
+        group = [model for model in pending if model.k >= plan.top]
         pending = pending[len(group):]
-        alpha = vacuum_pair_state(space)
-        width = max(1, SWEEP_CHUNK_AMPLITUDES // (2 * t * space.dim))
+        width = max(1, SWEEP_CHUNK_AMPLITUDES // (2 * t * plan.dim))
         for i in range(0, len(group), width):
             chunk = group[i : i + width]
-            diag, partner, off = braid_table(space, range(s0 - t, s0 + t), chunk)
+            diag, off = braid_weights(plan.table, chunk)
             sizes = sizes or _sizes(full, diag, off)
-            for model, p in zip(chunk, _evolve(diag, partner, off, alpha, t, c, psi)):
+            for model, p in zip(chunk, _evolve(diag, off, plan.gather, plan.alpha, t, c, psi)):
                 rows[model.k] = p
     return rows, sizes
 
@@ -382,7 +473,8 @@ def distribution_dense(
     (``reachable_fusion_space``), through ``_dense_levels`` with one level;
     the qubit one holds the whole space.  The meta reports both sizes as
     ``fusion_dim`` and ``reachable_dim``, the ``generators`` built and their
-    ``generator_nnz``, and the final ``norm_drift`` |1 - sum P|.
+    ``generator_nnz``, whether the fusion walk reused the plan of an earlier
+    call (``plan_reused``), and the final ``norm_drift`` |1 - sum P|.
     """
     geom = WalkGeometry.for_steps(t) if geom is None else geom
     geom.check_steps(t)
@@ -390,11 +482,13 @@ def distribution_dense(
     c = coin_matrix(coin)
     psi = coin_state(psi)
     if representation == "fusion":
+        passes = reachable_passes()
         rows, sizes = _dense_levels([model], n, s0, t, c, psi)
         probs = rows[model.k]
+        sizes["plan_reused"] = reachable_passes() == passes
     elif representation == "qubit":
         alpha, diag, partner, off = _qubit_rep(model, n, s0, t)
-        probs = _evolve(diag, partner, off, alpha, t, c, psi)[0]
+        probs = _evolve(diag, off, _gather_index(partner, t), alpha, t, c, psi)[0]
         sizes = _sizes(len(alpha), diag, off)
     else:
         raise DomainError(f"unknown representation {representation!r}")
@@ -471,8 +565,8 @@ def sweep_distances(
     walks at fixed t, as rows (k, d_q, d_c) in the order of ``ks``.
 
     The walks are ``_dense_levels`` over the distinct levels, which shares
-    one reachable pass and one evolution among the levels that reach the
-    same fusion paths.
+    one walk plan and one evolution among the levels that reach the same
+    fusion paths, and reuses the plans of earlier calls.
     """
     from .distribution import baseline_classical, baseline_quantum, distance
     from .models import build_su2k

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anyonwalk.nonabelian as nonabelian
 from anyonwalk import cli
@@ -98,6 +100,44 @@ def test_identical_config_is_byte_identical():
         first = payload_bytes(run(argv), fmt)
         second = payload_bytes(run(argv), fmt)
         assert first == second
+
+
+planned_levels = st.sampled_from([*range(2, 9), 40])
+planned_calls = st.one_of(
+    st.builds(lambda k, t, coin: ["su2k", "dist", "--engine", "dense", "--k", str(k),
+                                  "--t", str(t), "--coin", coin],
+              planned_levels, st.integers(1, 10), st.sampled_from("HU")),
+    st.builds(lambda ks, t, coin: ["su2k", "sweep", "--k", ",".join(map(str, ks)),
+                                   "--t", str(t), "--coin", coin],
+              st.lists(planned_levels, min_size=1, max_size=4), st.integers(1, 10),
+              st.sampled_from("HU")),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(calls=st.lists(planned_calls, min_size=1, max_size=8))
+def test_a_planned_walk_has_the_payload_of_a_cold_one(calls):
+    # the calls run twice in drawn order on one cache, so each may reuse the
+    # plans of the ones before it, and every call of the second round does
+    nonabelian._plans.clear()
+    warm = [payload_bytes(run(argv), fmt) for argv in calls * 2 for fmt in ("csv", "json")]
+    cold = []
+    for argv in calls:
+        nonabelian._plans.clear()
+        cold += [payload_bytes(run(argv), fmt) for fmt in ("csv", "json")]
+    assert warm == cold * 2
+
+
+def test_plan_reuse_is_reported_in_the_meta_only():
+    dist = ["su2k", "dist", "--engine", "dense", "--k", "4", "--t", "12"]
+    sweep = ["su2k", "sweep", "--k", "3,5,2,40", "--t", "10"]
+    first, second = run(dist), run(dist)
+    assert (first.meta["plan_reused"], second.meta["plan_reused"]) == (False, True)
+    assert first.payload == second.payload
+    first, second = run(sweep), run(sweep)
+    # levels >= 3 share one pass, level 2 runs its own
+    assert (first.meta["reachable_passes"], second.meta["reachable_passes"]) == (2, 0)
+    assert first.payload == second.payload
 
 
 def test_json_round_trip():

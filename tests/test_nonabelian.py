@@ -1,4 +1,7 @@
 import itertools
+import random
+import sys
+import threading
 import time
 
 import numpy as np
@@ -11,11 +14,11 @@ from anyonwalk.distribution import baseline_classical, baseline_quantum, distanc
 from anyonwalk.errors import BoundaryError, DomainError, NumericError
 from anyonwalk.fusion import (
     braid_generator,
-    braid_table,
     enumerate_fusion_basis,
     fusion_dimension,
     reachable_fusion_space,
     su22_qubit_generator,
+    tl_rows,
 )
 from anyonwalk.models import AnyonModel, build_su2k
 from anyonwalk.nonabelian import (
@@ -141,13 +144,12 @@ def test_support_and_positivity():
 
 
 def test_trivial_braiding_reduces_to_standard_walk(monkeypatch):
-    def identity(space, indices, models):
-        shape = (len(indices), space.dim)
-        partner = np.broadcast_to(np.arange(space.dim), shape)
-        levels = (len(models), *shape)
-        return np.ones(levels, dtype=complex), partner, np.zeros(levels, dtype=complex)
+    def identity(rows, models):
+        # b_i = 1: diag 1 and off 0, whatever the partner rows
+        levels = (len(models), *rows.partner.shape)
+        return np.ones(levels, dtype=complex), np.zeros(levels, dtype=complex)
 
-    monkeypatch.setattr(nonabelian, "braid_table", identity)
+    monkeypatch.setattr(nonabelian, "braid_weights", identity)
     model = build_su2k(5)
     for t, coin in ((3, "H"), (4, "U")):
         dist = distribution_dense(model, None, t, coin=coin)
@@ -157,21 +159,24 @@ def test_trivial_braiding_reduces_to_standard_walk(monkeypatch):
 
 def test_dense_walk_braids_only_reachable_sites(monkeypatch):
     # a t-step walk from s0 braids strands s0 - t .. s0 + t only, so it needs
-    # exactly the 2t generators s0 - t .. s0 + t - 1, each built once
+    # exactly the 2t generators s0 - t .. s0 + t - 1, each built once, and a
+    # walk of a planned geometry builds none
     built = []
 
-    def recording(space, indices, models):
+    def recording(space, indices):
         built.append(list(indices))
-        return braid_table(space, indices, models)
+        return tl_rows(space, indices)
 
-    monkeypatch.setattr(nonabelian, "braid_table", recording)
+    monkeypatch.setattr(nonabelian, "tl_rows", recording)
     model = build_su2k(3)
     for geom, t in [(None, 1), (None, 2), (None, 5), (None, 8), (WalkGeometry(16, 8), 6)]:
-        built.clear()
-        meta = distribution_dense(model, geom, t).meta
-        s0 = meta["s0"]
-        assert built == [list(range(s0 - t, s0 + t))]
-        assert meta["generators"] == 2 * t
+        for planned in (False, True):
+            built.clear()
+            meta = distribution_dense(model, geom, t).meta
+            s0 = meta["s0"]
+            assert built == ([] if planned else [list(range(s0 - t, s0 + t))])
+            assert meta["generators"] == 2 * t
+            assert meta["plan_reused"] is planned
 
 
 def full_space(model, n, s0, t):
@@ -195,9 +200,13 @@ def test_reachable_paths_match_the_full_fusion_space(monkeypatch):
         model = build_su2k(k)
         for coin in ("H", "U"):
             reachable = [distribution_dense(model, geom, t, coin=coin) for geom, t in cases]
+            # the full-space walks must neither reuse the reachable plans nor
+            # leave their own behind
+            nonabelian._plans.clear()
             with monkeypatch.context() as patched:
                 patched.setattr(nonabelian, "reachable_fusion_space", full_space)
                 full = [distribution_dense(model, geom, t, coin=coin) for geom, t in cases]
+            nonabelian._plans.clear()
             for got, want in zip(reachable, full):
                 assert got.positions == want.positions
                 assert np.max(np.abs(got.probs - want.probs)) <= 1e-13
@@ -267,9 +276,63 @@ def test_the_walk_path_lists_no_basis_and_builds_no_csr_generator(monkeypatch):
     # the paths of a ten-step walk at level 80 reach charge 3, so every level
     # k >= 3 shares one pass and level 2 needs its own
     assert passes == [80, 2]
+    # and a sweep of planned levels runs none
     passes.clear()
+    assert nonabelian.sweep_distances(ks, t=10) == rows
+    assert passes == []
+    # a cold sweep above level 2 runs the one shared pass
+    nonabelian._plans.clear()
     nonabelian.sweep_distances(list(range(3, 31)) + [40, 60, 80], t=10)
     assert passes == [80]
+
+
+def test_a_plan_serves_every_level_its_pass_could_not_truncate(monkeypatch):
+    # at t = 12 levels 3 and 4 each reach their own highest charge, so each
+    # plan serves its level alone; level 80 reaches charge 4 only, so its plan
+    # serves 5 and 40 as well
+    passes = []
+
+    def counting(model, *args):
+        passes.append(model.k)
+        return reachable_fusion_space(model, *args)
+
+    monkeypatch.setattr(nonabelian, "reachable_fusion_space", counting)
+    reused = [distribution_dense(build_su2k(k), None, 12).meta["plan_reused"]
+              for k in (3, 4, 80, 5, 40)]
+    assert passes == [3, 4, 80]
+    assert reused == [False, False, False, True, True]
+
+
+def test_threads_share_the_plan_cache(monkeypatch):
+    # more threads than cores on a cache smaller than the geometries they
+    # walk, so lookups, inserts and evictions interleave
+    monkeypatch.setattr(nonabelian, "PLAN_CACHE_SIZE", 2)
+    cases = [(k, t) for k in (2, 3, 5, 40) for t in (4, 6, 8)]
+    want = {(k, t): distribution_dense(build_su2k(k), None, t).probs.tobytes() for k, t in cases}
+    got, errors = [], []
+
+    def work(seed):
+        try:
+            for k, t in random.Random(seed).sample(cases * 3, 3 * len(cases)):
+                got.append(((k, t), distribution_dense(build_su2k(k), None, t).probs.tobytes()))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(got) == 4 * 3 * len(cases)
+    assert all(probs == want[case] for case, probs in got)
+    assert len(nonabelian._plans) <= 2
 
 
 def test_a_wide_level_group_evolves_in_chunks(monkeypatch):
@@ -285,8 +348,13 @@ def test_a_wide_level_group_evolves_in_chunks(monkeypatch):
     monkeypatch.setattr(nonabelian, "_evolve", recording)
     # room for five levels of the 117 paths and 20 generators of a ten-step walk
     monkeypatch.setattr(nonabelian, "SWEEP_CHUNK_AMPLITUDES", 5 * 20 * 117)
-    assert nonabelian.sweep_distances(ks, t=10) == whole
-    assert widths == [5] * 5 + [3]
+    # chunked alike on the plan of the first sweep and on a new one
+    for cold in (False, True):
+        if cold:
+            nonabelian._plans.clear()
+        widths.clear()
+        assert nonabelian.sweep_distances(ks, t=10) == whole
+        assert widths == [5] * 5 + [3]
 
 
 @st.composite
