@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import Distribution, _normalized, baseline_quantum, check_steps, coin_state
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, check_budget
 
 _C2 = np.array([[1, 1j], [1j, 1]], dtype=complex) / math.sqrt(2)
 COIN4 = np.kron(_C2, _C2)  # exp(i pi/4 (X_x + X_y))
@@ -302,9 +302,8 @@ def variance_surface(
     if t_grid[0] < 1:
         raise DomainError(f"step counts must be >= 1, got {t_grid[0]}")
     check_steps(t_grid[-1])
-    if len(phi_grid) * t_grid[-1] > MAX_SURFACE_STEPS:
-        raise DomainError(f"{len(phi_grid)} angles x {t_grid[-1]} steps exceed the "
-                          f"surface limit of {MAX_SURFACE_STEPS}")
+    check_budget("abelian.MAX_SURFACE_STEPS", len(phi_grid) * t_grid[-1], MAX_SURFACE_STEPS,
+                 "angles x steps")
     spin = _initial_spin(initial_spin)
     rows: list[tuple[int, float, float, float | None]] = []
     for phi in phi_grid:

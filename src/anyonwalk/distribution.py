@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, check_budget
 
 #: most steps a position-space walk may take.  Cost grows as t^2: at this bound
 #: ``baseline quantum``, ``baseline classical`` (exact binomials, a 4.3 MB JSON
@@ -28,8 +28,7 @@ def check_steps(t: int) -> None:
     """Refuse a step count that is negative or above ``MAX_STEPS``."""
     if t < 0:
         raise DomainError("step count must be nonnegative")
-    if t > MAX_STEPS:
-        raise DomainError(f"{t} steps exceed the position-space walk limit of {MAX_STEPS}")
+    check_budget("distribution.MAX_STEPS", t, MAX_STEPS, "step count")
 
 
 COINS: dict[str, np.ndarray] = {

@@ -37,37 +37,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_budget
 from .models import AnyonModel
+from .tl import MAX_STRANDS
 
-#: refuse n-anyon spaces with 2 x (n+2) x dim above this many amplitudes, dim
-#: the full space's dimension, which is counted without listing it.  The dense
-#: walk holds only 2 x (t+1) x its reachable paths (266 of 265721 at k=4,
-#: t=12), but no bound on that count is proven, so the budget stays on the
-#: full space, where it is checked before any work.  Every level has
-#: dim >= 2^(n/2-1), so it caps n at 42: the n-bit path keys, and the
-#: reachable pass's keys with the site above them, fit in 48 bits.
+#: refuse n-anyon spaces with 2 x (n+2) x dim above this many amplitudes, dim the full
+#: space's dimension, which is counted without listing it.  The dense walk holds only
+#: 2 x (t+1) x its reachable paths (266 of 265721 at k=4, t=12), but no bound on that
+#: count is proven, so the budget stays on the full space, where it is checked before any
+#: work (k=2, t=20 counts 92 M and runs in 0.3 s on a 2-core VM).  Every level has
+#: dim >= 2^(n/2-1), and ``_reach_table`` checks that floor after the strand cap, so
+#: n <= 42: the n-bit path keys, and the reachable pass's keys with the site above
+#: them, fit in 48 bits.
 DENSE_STATE_BUDGET = 2**27
 
 
 def check_state_budget(n: int, dim: int) -> None:
     """Refuse an n-anyon walk whose internal space has dimension ``dim``."""
-    if 2 * (n + 2) * dim > DENSE_STATE_BUDGET:
-        raise DomainError(
-            f"dense state of {2 * (n + 2) * dim} amplitudes (n={n}, dim={dim}) exceeds "
-            f"the memory budget of {DENSE_STATE_BUDGET}"
-        )
-
-
-def _check_dimension_floor(n: int) -> None:
-    """Refuse n anyons before counting their space: every level has
-    dim >= 2^(n/2-1), compared by exponent so a huge n builds no huge integer."""
-    e = n // 2 - 1
-    if e >= DENSE_STATE_BUDGET.bit_length() or 2 * (n + 2) << e > DENSE_STATE_BUDGET:
-        raise DomainError(
-            f"dense state of at least {2 * (n + 2)}*2^{e} amplitudes (n={n}) exceeds "
-            f"the memory budget of {DENSE_STATE_BUDGET}"
-        )
+    check_budget("fusion.DENSE_STATE_BUDGET", 2 * (n + 2) * dim, DENSE_STATE_BUDGET,
+                 "dense-state amplitude count")
 
 
 def _path_keys(charges: np.ndarray) -> np.ndarray:
@@ -127,7 +115,9 @@ def _reach_table(model: AnyonModel, n: int) -> np.ndarray:
     vacuum, so a larger one never lies on an n-anyon path."""
     if n % 2 or n < 4:
         raise DomainError(f"anyon count must be even and >= 4, got {n}")
-    _check_dimension_floor(n)  # so n <= 42, and every count, at most 2^n, fits in int64
+    check_budget("tl.MAX_STRANDS", n, MAX_STRANDS, "strand count")
+    # every level has dim >= 2^(n/2-1), so n <= 42 and every count, at most 2^n, fits in int64
+    check_state_budget(n, 2 ** (n // 2 - 1))
     nlab = min(model.k + 1, n + 1)
     # sigma x q = (q - 1) + (q + 1) within the labels 0..k, so no fusion tensor is read
     steps = np.eye(nlab, k=1, dtype=np.int64) + np.eye(nlab, k=-1, dtype=np.int64)

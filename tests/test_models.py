@@ -48,7 +48,7 @@ def test_fusion_tensor_matches_the_triple_loop():
 def test_invalid_level_rejected():
     with pytest.raises(DomainError):
         build_su2k(1)
-    with pytest.raises(DomainError, match="cap"):
+    with pytest.raises(DomainError, match="models.MAX_LEVEL"):
         build_su2k(MAX_LEVEL + 1)
 
 

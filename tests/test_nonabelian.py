@@ -456,7 +456,7 @@ def test_qubit_and_path_representations_agree():
 def test_dense_state_budget_applies_to_both_representations():
     geom = WalkGeometry(60, 31)
     for representation in ("fusion", "qubit"):
-        with pytest.raises(DomainError, match="memory budget"):
+        with pytest.raises(DomainError, match="fusion.DENSE_STATE_BUDGET"):
             distribution_dense(build_su2k(2), geom, 2, representation=representation)
 
 
@@ -467,7 +467,7 @@ def test_qubit_representation_requires_level_two():
 
 def test_pathsum_support_budget_refuses_long_walks():
     start = time.perf_counter()
-    with pytest.raises(DomainError, match="cup diagrams"):
+    with pytest.raises(DomainError, match="nonabelian.PATHSUM_MAX_SUPPORT"):
         distribution_pathsum(build_su2k(3), None, 40)
     assert time.perf_counter() - start < 5.0
     meta = distribution_pathsum(build_su2k(3), None, 12).meta
