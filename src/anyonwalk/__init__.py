@@ -42,7 +42,6 @@ from .nonabelian import (
 )
 from .quantum_double import (
     MarkovValue,
-    canonical_link_polynomial,
     double_walk_distribution,
     markov_trace_word,
     trace_factor,
@@ -78,7 +77,6 @@ __all__ = [
     "braid_generator",
     "build_dsn",
     "build_su2k",
-    "canonical_link_polynomial",
     "closed_form_distribution",
     "coin_trace",
     "distance",

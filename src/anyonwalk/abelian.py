@@ -48,8 +48,8 @@ _MOVES = np.array([1.0, 1.0, -1.0, -1.0])  # x-state 0 steps up, x-state 1 down
 
 DEFAULT_GRID = 1024
 #: most walk steps (angles times the largest t) one variance surface may take, which
-#: also bounds its rows; at the bound, one angle over t = 1..2000 takes 0.4 s through
-#: the CLI and 2000 angles at t = 1 with --analytic 2.4 s (2-core VM)
+#: also bounds its rows; at the bound, one angle over t = 1..2000 takes 0.5-0.8 s through
+#: the CLI and the slowest, 2000 angles at t = 1 with --analytic, 2.3-3.8 s (2-core VM)
 MAX_SURFACE_STEPS = 2000
 
 

@@ -35,11 +35,15 @@ from .errors import DomainError, NumericError, check_budget
 
 
 def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    """One output field: a Fraction keeps its denominator, and a float's str is its repr."""
+    return f"{x.numerator}/{x.denominator}" if type(x) is Fraction else str(x)
+
+
+def _line(text: str, width: int = 200) -> str:
+    """A stderr line: ``text`` on one line of at most ``width`` characters, its head and
+    tail kept, so a huge bad token is never echoed whole."""
+    text = " ".join(text.splitlines())
+    return text if len(text) <= width else f"{text[:width // 2 - 2]}...{text[1 - width // 2:]}"
 
 
 class ResultEnvelope:
@@ -53,7 +57,7 @@ class ResultEnvelope:
     def to_json(self) -> str:
         def default(obj):
             if isinstance(obj, Fraction):
-                return f"{obj.numerator}/{obj.denominator}"
+                return _fmt(obj)
             if isinstance(obj, (np.floating, np.integer)):
                 return obj.item()
             raise TypeError(f"cannot serialize {type(obj)}")
@@ -70,7 +74,7 @@ class ResultEnvelope:
         out = io.StringIO()
         out.write(",".join(header) + "\n")
         for row in self.payload["rows"]:
-            out.write(",".join(_fmt(x) for x in row) + "\n")
+            out.write(",".join(map(_fmt, row)) + "\n")
         return out.getvalue()
 
     def serialize(self, fmt: str) -> str:
@@ -136,12 +140,25 @@ def _parse_floats(text: str) -> list[float]:
 
 
 #: most integers one comma list may expand to; a wider a..b range is refused unbuilt.
-#: A sweep over 9999 levels at t = 10 takes 7.0 s (2-core VM).
+#: The slowest accepted list, the sweep over k = 2..10000 at t = 12, takes 17-20 s
+#: through the CLI (t = 10: 7.3-8.4 s; 2-core VM).
 MAX_INT_LIST = 10_000
-#: most CSV rows ``su2k generators`` may emit (k = 2, n = 30: 950 272 at most, 5.9-6.7 s, 2-core VM)
+#: most rows (n-1) 2 dim ``su2k generators`` may emit; the largest accepted dump, k = 2,
+#: n = 30 (704 512 of at most 950 272 rows), takes 3.4-4.4 s through the CLI as CSV and
+#: 4.7-7.7 s as JSON (2-core VM)
 GENERATOR_ROW_CAP = 2**20
-_LETTER = re.compile(r"[+-]?[0-9]+")
-_INT_ITEM = re.compile(r"\s*([+-]?[0-9]+)\s*(?:\.\.\s*([+-]?[0-9]+)\s*)?")
+# the one integer grammar of options, list items, range ends and braid letters: a sign
+# and at most 18 ASCII digits, more than any limit admits and far below the 4300 digits
+# at which int() raises
+_INT_ITEM = re.compile(r"\s*([+-]?[0-9]{1,18})\s*(?:\.\.\s*([+-]?[0-9]{1,18})\s*)?")
+
+
+def integer(text: str, what: str = "integer") -> int:
+    """One integer of the CLI's grammar; argparse names the option of a bad one."""
+    m = _INT_ITEM.fullmatch(text)
+    if m is None or m[2] is not None:
+        raise DomainError(f"cannot parse {what} {text!r}")
+    return int(m[1])
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -162,7 +179,7 @@ def _parse_ints(text: str) -> list[int]:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(_line(f"{self.prog}: error: {message}"), file=sys.stderr)
         raise SystemExit(1)  # usage errors exit 1
 
 
@@ -193,47 +210,47 @@ def _parser_tree() -> argparse.ArgumentParser:
     su = sub.add_parser("su2k", help="level-k anyonic walk")
     susub = su.add_subparsers(dest="subcommand", required=True)
     sud = susub.add_parser("dist", help="walker distribution")
-    sud.add_argument("--k", type=int, required=True)
-    sud.add_argument("--t", type=int, required=True)
-    sud.add_argument("--n", type=int, default=None, help="anyon count (default: minimal)")
+    sud.add_argument("--k", type=integer, required=True)
+    sud.add_argument("--t", type=integer, required=True)
+    sud.add_argument("--n", type=integer, default=None, help="anyon count (default: minimal)")
     sud.add_argument("--engine", choices=("auto", "dense", "pathsum"), default="auto")
     sud.add_argument("--coin", choices=("H", "U"), default="H")
     common(sud)
     sus = susub.add_parser("sweep", help="distances to quantum/classical walks over k")
     sus.add_argument("--k", required=True, help="comma list or a..b of levels")
-    sus.add_argument("--t", type=int, default=10)
+    sus.add_argument("--t", type=integer, default=10)
     sus.add_argument("--coin", choices=("H", "U"), default="H")
     common(sus)
     sug = susub.add_parser("generators", help="dump braid matrices as CSV triplets")
-    sug.add_argument("--k", type=int, required=True)
-    sug.add_argument("--n", type=int, required=True)
+    sug.add_argument("--k", type=integer, required=True)
+    sug.add_argument("--n", type=integer, required=True)
     common(sug)
 
     ds = sub.add_parser("dsn", help="quantum-double walk")
     dssub = ds.add_subparsers(dest="subcommand", required=True)
     dsd = dssub.add_parser("dist", help="walker distribution (exact rationals)")
-    dsd.add_argument("--N", type=int, required=True)
-    dsd.add_argument("--t", type=int, required=True)
+    dsd.add_argument("--N", type=integer, required=True)
+    dsd.add_argument("--t", type=integer, required=True)
     dsd.add_argument("--coin", choices=("U", "H"), default="U")
     common(dsd)
 
     ka = sub.add_parser("kauffman", help="bracket of a braid word closure")
-    ka.add_argument("--n", type=int, required=True, help="strand count")
+    ka.add_argument("--n", type=integer, required=True, help="strand count")
     ka.add_argument("--word", required=True, help="space-separated signed letters, e.g. '1 -2 1'")
     ka.add_argument("--closure", choices=("plat", "markov"), required=True)
     group = ka.add_mutually_exclusive_group()
-    group.add_argument("--k", type=int, default=None, help="evaluate at the level-k point")
+    group.add_argument("--k", type=integer, default=None, help="evaluate at the level-k point")
     group.add_argument("--exact", action="store_true", help="exact Laurent polynomial")
     common(ka)
 
     ba = sub.add_parser("baseline", help="standard reference walks")
     basub = ba.add_subparsers(dest="subcommand", required=True)
     baq = basub.add_parser("quantum", help="two-state coined walk")
-    baq.add_argument("--t", type=int, required=True)
+    baq.add_argument("--t", type=integer, required=True)
     baq.add_argument("--coin", choices=("H", "U"), default="H")
     common(baq)
     bac = basub.add_parser("classical", help="binomial random walk")
-    bac.add_argument("--t", type=int, required=True)
+    bac.add_argument("--t", type=integer, required=True)
     common(bac)
     return parser
 
@@ -279,18 +296,23 @@ def _run_su2k(args) -> ResultEnvelope:
              "reachable_passes": reachable_passes() - passes},
         )
     # generators
-    from .fusion import braid_generator, enumerate_fusion_basis, fusion_dimension
+    from .fusion import braid_table, enumerate_fusion_basis, fusion_dimension
 
     model = build_su2k(args.k)
     dim = fusion_dimension(model, args.n)
     # each of the n - 1 generators has at most two nonzeros per column
     check_budget("cli.GENERATOR_ROW_CAP", (args.n - 1) * 2 * dim, GENERATOR_ROW_CAP, "row count")
     space = enumerate_fusion_basis(model, args.n)
-    rows = []
-    for i in range(1, args.n):
-        coo = braid_generator(space, i).tocoo()
-        for r, c, v in sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())):
-            rows.append((i, r, c, v.real, v.imag))
+    diag, partner, off = braid_table(space, range(1, args.n), [model])
+    # each row's diagonal and partner entries, the latter zero where it has no partner,
+    # as nonzero (i, row, col, value) in that order
+    i, r = np.indices(partner.shape)
+    pairs = ((i + 1, i + 1), (r, r), (r, partner), (diag[0], off[0]))
+    i, r, c, v = (np.stack(pair, axis=-1).ravel() for pair in pairs)
+    order = np.lexsort((c, r, i))
+    order = order[v[order] != 0]
+    i, r, c, v = (x[order] for x in (i, r, c, v))
+    rows = list(zip(i.tolist(), r.tolist(), c.tolist(), v.real.tolist(), v.imag.tolist()))
     return _tabular(
         "braid-generators",
         ["i", "row", "col", "re", "im"],
@@ -310,12 +332,7 @@ def _run_kauffman(args) -> ResultEnvelope:
     from .models import build_su2k
     from .tl import BraidWord, markov_bracket, plat_bracket
 
-    letters = []
-    for token in args.word.split():
-        if not _LETTER.fullmatch(token):
-            raise DomainError(f"cannot parse braid letter {token!r}")
-        letters.append(int(token))
-    word = BraidWord(args.n, tuple(letters))
+    word = BraidWord(args.n, tuple(integer(token, "braid letter") for token in args.word.split()))
     bracket = plat_bracket if args.closure == "plat" else markov_bracket
     meta = {
         "tool_version": __version__,
@@ -373,17 +390,17 @@ def main(argv: list[str] | None = None) -> int:
         envelope = dispatch(args)
         text = envelope.serialize(args.out)
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_line(f"error: {exc}"), file=sys.stderr)
         return 2
     except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        print(_line(f"numeric failure: {exc}"), file=sys.stderr)
         return 3
     if args.to:
         try:
             with open(args.to, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {args.to}: {exc.strerror}", file=sys.stderr)
+            print(_line(f"error: cannot write {args.to}: {exc.strerror}"), file=sys.stderr)
             return 2
     else:
         sys.stdout.write(text)

@@ -24,7 +24,8 @@ process (``nonabelian._walk_plan``).  ``braid_generator`` and
 each call.  A walk
 needs only the paths it can reach from the vacuum-pair path
 (``reachable_fusion_space``); the full basis (``enumerate_fusion_basis``)
-and the CSR matrices, the only users of scipy, serve dumps and oracles.
+serves the generator dump and oracles, and the CSR matrices, the only users
+of scipy, serve tests and the benchmark's checker.
 
 For the level-2 model the same representation has a qubit form built from
 three fixed 2x2 / 4x4 blocks; it is provided for cross-checking.

@@ -57,26 +57,6 @@ def trace_factor(N: int, m: int) -> int:
     return value
 
 
-def canonical_link_polynomial(N: int, factors: list[tuple[int, int]]) -> int:
-    """Link polynomial of the trace closure of a distinct-index word.
-
-    ``factors`` lists (generator index, power) with pairwise distinct
-    indices and nonzero powers; indices absent from the list contribute no
-    factor here (each would contribute the irrep dimension).
-    """
-    if N < 5:
-        raise DomainError(f"symmetric group order parameter must be >= 5, got {N}")
-    indices = [i for i, _ in factors]
-    if len(set(indices)) != len(indices):
-        raise DomainError("word is not canonical: repeated generator index")
-    if any(m == 0 for _, m in factors):
-        raise DomainError("word is not canonical: zero power")
-    value = 1
-    for _, m in factors:
-        value *= trace_factor(N, m)
-    return value
-
-
 @dataclass
 class MarkovValue:
     """Normalized trace of a braid word, with the rewrite steps that led to it."""
@@ -198,10 +178,7 @@ def double_walk_distribution(N: int, t: int, coin: str = "U") -> Distribution:
             try:
                 cache[key] = markov_trace_word(N, BraidWord(geom.n, key)).value
             except IrreducibleWordError as err:
-                raise IrreducibleWordError(
-                    f"t={t} walk produced an irreducible word for paths {a}/{ap}: {err}",
-                    word=err.word,
-                ) from err
+                raise IrreducibleWordError(f"t={t} walk: {err}", word=err.word) from err
         totals[endpoint] += 2 * _coin_pair_real(a, ap, coin, t) * cache[key]
     positions = tuple(sorted(totals))
     exact = [totals[s] for s in positions]

@@ -18,7 +18,8 @@ from anyonwalk.abelian import MAX_SURFACE_STEPS, variance_surface
 from anyonwalk.cli import _parse_floats, build_parser, dispatch, main
 from anyonwalk.distribution import MAX_STEPS, Distribution
 from anyonwalk.errors import DomainError, NumericError
-from anyonwalk.models import MAX_LEVEL, AnyonModel
+from anyonwalk.fusion import braid_generator, enumerate_fusion_basis
+from anyonwalk.models import MAX_LEVEL, AnyonModel, build_su2k
 
 
 def run(argv):
@@ -81,6 +82,20 @@ def test_sweep_rows():
     assert env.payload["columns"] == ["k", "d_q", "d_c"]
     ks = [row[0] for row in env.payload["rows"]]
     assert ks == [2, 3, 4]
+
+
+@pytest.mark.parametrize("k, n", [(2, 8), (3, 12), (5, 16), (40, 14)])
+def test_generator_dump_lists_the_sorted_csr_entries(k, n):
+    # the CSR view of each generator is the oracle for the dump's table form
+    space = enumerate_fusion_basis(build_su2k(k), n)
+    expected = []
+    for i in range(1, n):
+        coo = braid_generator(space, i).tocoo()
+        for r, c, v in sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())):
+            expected.append((i, r, c, v.real, v.imag))
+    rows = run(["su2k", "generators", "--k", str(k), "--n", str(n)]).payload["rows"]
+    assert rows == expected
+    assert all(type(x) is int for row in rows for x in row[:3])
 
 
 def test_generator_dump_has_sparse_triplets():
@@ -182,9 +197,10 @@ def test_a_refused_layout_prints_no_warning(n, capsys):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
-def test_only_the_generator_dump_imports_scipy():
+def test_no_command_imports_scipy():
     # a fresh process, so no other test has loaded scipy into it
     commands = [
+        ["su2k", "generators", "--k", "3", "--n", "8"],
         ["abelian", "variance", "--phi", "0,pi/3", "--t", "4", "--analytic"],
         ["su2k", "dist", "--k", "3", "--t", "4", "--engine", "dense"],
         ["su2k", "dist", "--k", "3", "--t", "4", "--engine", "pathsum"],
@@ -495,3 +511,75 @@ def test_a_sweep_over_the_highest_levels_is_fast(capsys):
     assert time.perf_counter() - start < 0.5
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [int(row.split(",")[0]) for row in rows] == list(range(9901, 10001))
+
+
+DIGITS = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["abelian", "variance", "--phi", "0", "--t", f"1..{DIGITS}"],
+        ["su2k", "sweep", "--k", f"2,{DIGITS}", "--t", "3"],
+        ["kauffman", "--n", "4", "--word", f"1 {DIGITS}", "--closure", "plat"],
+    ],
+)
+def test_an_integer_past_int_s_digit_limit_is_refused(argv, capsys):
+    # int() raises past 4300 digits; the grammar refuses far earlier
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1 and len(err) <= 201
+
+
+HUGE = "x" * 50_000
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["su2k", "sweep", "--k", HUGE], 2),
+        (["abelian", "variance", "--phi", HUGE, "--t", "3"], 2),
+        (["kauffman", "--n", "4", "--word", f"1 {HUGE}", "--closure", "plat"], 2),
+        (["su2k", "dist", "--k", "3", "--t", "3", "--engine", HUGE], 1),
+        (["su2k", "dist", "--k", "3", "--t", "3", HUGE], 1),
+        ([HUGE], 1),
+        (["su2k", "dist", "--k", HUGE, "--t", "3"], 1),
+        (["su2k", "dist", "--k", "3", "--t", "3", "--to", HUGE], 2),
+    ],
+)
+def test_a_huge_token_gives_short_error_lines(argv, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "error:" in err
+    assert max(map(len, err.splitlines())) <= 200
+    assert "..." in err  # the line was cut, not dropped
+
+
+@pytest.mark.parametrize("token", ["1_0", "\uff13", "1" * 19])
+def test_one_integer_grammar_for_options_lists_and_letters(token, capsys):
+    assert main(["su2k", "dist", "--k", token, "--t", "3"]) == 1
+    assert f"invalid integer value: {token!r}" in capsys.readouterr().err
+    assert main(["su2k", "sweep", "--k", token, "--t", "3"]) == 2
+    assert capsys.readouterr().err == f"error: cannot parse integer or a..b range {token!r}\n"
+    assert main(["su2k", "sweep", "--k", f"2..{token}", "--t", "3"]) == 2
+    capsys.readouterr()
+    assert main(["kauffman", "--n", "4", "--word", f"1 {token}", "--closure", "plat"]) == 2
+    assert capsys.readouterr().err == f"error: cannot parse braid letter {token!r}\n"
+
+
+def test_an_eighteen_digit_level_reaches_the_level_limit(capsys):
+    level = "9" * 18
+    for argv in (["su2k", "dist", "--k", level, "--t", "3"], ["su2k", "sweep", "--k", level]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: level {level} exceeds models.MAX_LEVEL = {MAX_LEVEL}\n"
+
+
+@pytest.mark.parametrize("t", range(5, 13))
+def test_a_stuck_dsn_walk_names_the_word_on_one_short_line(t, capsys):
+    assert main(["dsn", "dist", "--N", "5", "--t", str(t)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: t={t} walk: ") and "stuck at" in err
+    assert err.count("\n") == 1 and len(err) < 120

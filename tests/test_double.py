@@ -8,7 +8,6 @@ from anyonwalk.distribution import baseline_classical, baseline_quantum, distanc
 from anyonwalk.errors import DomainError, IrreducibleWordError
 from anyonwalk.models import build_dsn
 from anyonwalk.quantum_double import (
-    canonical_link_polynomial,
     double_walk_distribution,
     markov_trace_word,
     trace_factor,
@@ -56,19 +55,6 @@ def test_trace_factors_count_crossing_fixed_points(N):
     assert fixed(3) == {p for p in pairs if shared[p] != 0}  # equal or sharing one point
     for m in (1, 2, 3):
         assert len(fixed(m)) == trace_factor(N, m) * d
-
-
-def test_canonical_link_polynomial():
-    assert canonical_link_polynomial(5, [(4, -2), (3, 2)]) == 16
-    # relation against the normalized trace in the 10-strand group
-    phi = markov_trace_word(5, [(4, -2), (3, 2)]).value
-    assert 16 * build_dsn(5).dim ** 7 == phi * build_dsn(5).dim ** 9
-    with pytest.raises(DomainError):
-        canonical_link_polynomial(5, [(3, 1), (3, 2)])
-    with pytest.raises(DomainError):
-        canonical_link_polynomial(5, [(3, 0)])
-    with pytest.raises(DomainError):
-        canonical_link_polynomial(4, [(3, 1)])
 
 
 def test_trace_of_identity_and_single_letters():
