@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .abelian import (
     abelian_step,
     asymptotic_coefficients,
-    momentum_operator,
     moments_analytic,
     simulate_distribution,
     variance_surface,
@@ -51,7 +50,6 @@ from .tl import (
     anyon_trace,
     markov_bracket,
     plat_bracket,
-    skein_expand,
     state_sum_bracket,
 )
 
@@ -86,12 +84,10 @@ __all__ = [
     "enumerate_fusion_basis",
     "markov_bracket",
     "markov_trace_word",
-    "momentum_operator",
     "moments_analytic",
     "path_braid_word",
     "plat_bracket",
     "simulate_distribution",
-    "skein_expand",
     "state_sum_bracket",
     "su22_qubit_generator",
     "sweep_distances",

@@ -78,9 +78,6 @@ class SpinorField:
     def positions(self) -> np.ndarray:
         return np.arange(self.offset, self.offset + len(self.psi))
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.psi) ** 2)))
-
     def position_probs(self) -> np.ndarray:
         return np.sum(np.abs(self.psi) ** 2, axis=1)
 
@@ -117,11 +114,6 @@ def simulate_distribution(
         probs[keep],
         {"engine": "abelian-direct", "phi": phi, "t": t},
     )
-
-
-def momentum_operator(phi: float, k: float) -> np.ndarray:
-    """The one-step unitary at momentum k."""
-    return _momentum_operators(phi, np.array([k]))[0]
 
 
 def eigenphase_pair(phi: float, k: float | np.ndarray):
@@ -319,18 +311,3 @@ def variance_surface(
             v = float(probs @ s**2 - (probs @ s) ** 2)
             rows.append((t, phi, v, None if coeff is None else coeff * t * t))
     return rows
-
-
-def spin_schmidt_values(state: SpinorField) -> np.ndarray:
-    """Largest second Schmidt coefficient of the 4-spinor across positions.
-
-    Zero means the x and y coins stay in a product state at every site.
-    """
-    out = []
-    for row in state.psi:
-        norm = np.linalg.norm(row)
-        if norm < 1e-13:
-            continue
-        s = np.linalg.svd(row.reshape(2, 2) / norm, compute_uv=False)
-        out.append(s[1])
-    return np.asarray(out)

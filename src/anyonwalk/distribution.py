@@ -50,9 +50,9 @@ def coin_matrix(coin: str | np.ndarray) -> np.ndarray:
 
 
 def _normalized(spin, dim: int) -> np.ndarray:
-    """``spin`` checked to be a normalized ``dim``-vector."""
+    """``spin`` checked to be a normalized ``dim``-vector; a NaN entry fails the check."""
     spin = np.asarray(spin, dtype=complex)
-    if spin.shape != (dim,) or abs(np.linalg.norm(spin) - 1.0) > 1e-12:
+    if spin.shape != (dim,) or not abs(np.linalg.norm(spin) - 1.0) <= 1e-12:
         raise DomainError(f"initial spin must be a normalized {dim}-vector")
     return spin
 
@@ -78,8 +78,9 @@ class Distribution:
             raise DomainError("positions and probabilities differ in length")
         if np.any(self.probs < -1e-12):
             raise DomainError(f"negative probability {self.probs.min()} beyond tolerance")
+        # a NaN is not negative, but it makes the sum NaN, which this check refuses
         total = float(self.probs.sum())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise NumericError(f"probabilities sum to {total}, drift beyond 1e-9")
 
     def moment(self, m: int) -> float:

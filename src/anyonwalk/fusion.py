@@ -24,8 +24,9 @@ process (``nonabelian._walk_plan``).  ``braid_generator`` and
 each call.  A walk
 needs only the paths it can reach from the vacuum-pair path
 (``reachable_fusion_space``); the full basis (``enumerate_fusion_basis``)
-serves the generator dump and oracles, and the CSR matrices, the only users
-of scipy, serve tests and the benchmark's checker.
+serves the generator dump, and the CSR matrices, the only users of scipy,
+serve tests and the benchmark's checker (``tests/test_reach.py`` checks what
+reaches each definition).
 
 For the level-2 model the same representation has a qubit form built from
 three fixed 2x2 / 4x4 blocks; it is provided for cross-checking.
@@ -87,11 +88,6 @@ class FusionSpace:
     @property
     def dim(self) -> int:
         return self.charges.shape[0]
-
-    @property
-    def basis(self) -> list[tuple[int, ...]]:
-        """Outcome tuples (a_1, ..., a_{n-2}) in basis order."""
-        return [tuple(int(q) for q in row[1:]) for row in self.charges]
 
     def _find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row of each key and whether that row really carries the key."""

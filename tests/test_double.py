@@ -79,7 +79,8 @@ def test_trace_is_cyclic_and_conjugation_invariant():
             base = markov_trace_word(6, word).value
         except IrreducibleWordError:
             continue
-        for rot in word.cyclic_rotations():
+        for r in range(len(letters)):
+            rot = BraidWord(7, letters[r:] + letters[:r])
             assert markov_trace_word(6, rot).value == base
 
 

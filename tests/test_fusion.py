@@ -20,6 +20,11 @@ from anyonwalk.nonabelian import WalkGeometry
 from anyonwalk.tl import BraidWord, plat_bracket
 
 
+def basis_outcomes(space):
+    """Outcome tuples (a_1, ..., a_{n-2}) in basis order: each path without its first charge."""
+    return [tuple(map(int, row)) for row in space.charges[:, 1:]]
+
+
 def catalan(n):
     c = 1
     for i in range(n):
@@ -31,9 +36,9 @@ def test_level_two_dimensions():
     m = build_su2k(2)
     assert enumerate_fusion_basis(m, 4).dim == 2
     assert enumerate_fusion_basis(m, 6).dim == 4
-    assert enumerate_fusion_basis(m, 4).basis == [(0, 1), (2, 1)]
+    assert basis_outcomes(enumerate_fusion_basis(m, 4)) == [(0, 1), (2, 1)]
     # even outcome slots are pinned to the walker label
-    for path in enumerate_fusion_basis(m, 8).basis:
+    for path in basis_outcomes(enumerate_fusion_basis(m, 8)):
         assert all(path[j] == 1 for j in range(1, len(path), 2))
 
 
@@ -49,15 +54,16 @@ def test_dimension_saturates_at_catalan():
                 if model.fusion[path[-1], sigma, 0]:
                     paths.append(path[1:])
                 continue
-            for nxt in model.fusion_outcomes(path[-1], sigma):
-                stack.append((*path, nxt))
+            for nxt in np.flatnonzero(model.fusion[path[-1], sigma]):
+                stack.append((*path, int(nxt)))
         return sorted(paths)
 
     n = 12
     dims = []
     for k in (2, 3, 4, 5, 6, 7):
         space = enumerate_fusion_basis(build_su2k(k), n)
-        assert space.basis == list_paths(space.model, n)  # the same paths, in lexicographic order
+        # the same paths, in lexicographic order
+        assert basis_outcomes(space) == list_paths(space.model, n)
         dims.append(space.dim)
     assert dims == sorted(dims)
     assert dims[-1] == catalan(n // 2)  # saturated once k >= n/2
@@ -80,7 +86,7 @@ def test_vacuum_pair_state():
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-15
     assert vec[space.index((0, 1))] == 1.0
     # orthogonal to every path with a nonvacuum first outcome
-    for i, path in enumerate(space.basis):
+    for i, path in enumerate(basis_outcomes(space)):
         if path[0] != 0:
             assert vec[i] == 0.0
 
@@ -116,8 +122,8 @@ def test_generator_matches_path_model_oracle(k, n):
         assert np.array_equal(tl_generator(space, i).toarray(), expected)
     # partners above the level are dropped below the saturation level k = n/2
     assert (truncated > 0) == (k < n // 2)
-    for r, outcomes in enumerate(space.basis):
-        assert space.index(outcomes) == r
+    for r, path in enumerate(basis_outcomes(space)):
+        assert space.index(path) == r
     pairs = (0, 1) * (n // 2)
     bad = [
         (0, 1),  # wrong length
@@ -362,7 +368,7 @@ def untrimmed_dimension(model, n):
     nlab = model.k + 1
     reach = np.zeros((nlab, n + 1), dtype=object)
     reach[model.vacuum, 0] = 1
-    step_to = [model.fusion_outcomes(q, model.sigma) for q in range(nlab)]
+    step_to = [np.flatnonzero(model.fusion[q, model.sigma]) for q in range(nlab)]
     for r in range(1, n + 1):
         for q in range(nlab):
             reach[q, r] = sum(reach[c, r - 1] for c in step_to[q])

@@ -15,9 +15,9 @@ def test_level_two_data():
     assert abs(m.d - 1.4142136) < 1e-6
     assert abs(m.A - np.exp(1j * 5 * np.pi / 8)) < 1e-12
     # sigma x sigma = 1 + psi, sigma x psi = sigma, psi x psi = 1
-    assert m.fusion_outcomes(1, 1) == [0, 2]
-    assert m.fusion_outcomes(1, 2) == [1]
-    assert m.fusion_outcomes(2, 2) == [0]
+    assert np.flatnonzero(m.fusion[1, 1]).tolist() == [0, 2]
+    assert np.flatnonzero(m.fusion[1, 2]).tolist() == [1]
+    assert np.flatnonzero(m.fusion[2, 2]).tolist() == [0]
 
 
 def test_level_six_dimension():

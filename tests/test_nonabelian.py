@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anyonwalk.nonabelian as nonabelian
-from anyonwalk.distribution import baseline_classical, baseline_quantum, distance
+from anyonwalk.abelian import asymptotic_coefficients, moments_analytic
+from anyonwalk.distribution import (
+    Distribution,
+    baseline_classical,
+    baseline_quantum,
+    coin_state,
+    distance,
+)
 from anyonwalk.errors import BoundaryError, DomainError, NumericError
 from anyonwalk.fusion import (
     braid_generator,
@@ -545,3 +552,27 @@ def test_a_bad_coin_state_is_a_precondition_failure(psi):
     ):
         with pytest.raises(DomainError, match="normalized 2-vector"):
             run()
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "run, error",
+    [
+        (lambda: coin_state([_NAN, 0]), DomainError),
+        (lambda: baseline_quantum(4, psi=[_NAN, 0]), DomainError),
+        (lambda: walk_distribution(build_su2k(3), 8, engine="dense", psi=[_NAN, 0]), DomainError),
+        (lambda: walk_distribution(build_su2k(3), 4, engine="pathsum", psi=[_NAN, 0]),
+         DomainError),
+        (lambda: moments_analytic(0.3, 5, 2, initial_spin=[_NAN, 0, 0, 0]), DomainError),
+        (lambda: asymptotic_coefficients(0.3, initial_spin=[_NAN, 0, 0, 0]), DomainError),
+        (lambda: Distribution((0, 1), [_NAN, _NAN]), NumericError),
+    ],
+    ids=["coin_state", "baseline_quantum", "dense", "pathsum", "moments_analytic",
+         "asymptotic_coefficients", "Distribution"],
+)
+def test_nan_is_refused(run, error):
+    # every comparison with NaN is False, so a check of the form x > tol would pass it
+    with pytest.raises(error):
+        run()
