@@ -25,13 +25,17 @@ Two engines compute P(s, t):
   plans; a planned walk computes only its loop weights, A and the
   evolution.
 * ``distribution_pathsum`` evolves the same walk on planar cup diagrams: each
-  site and coin holds a map from diagrams to coefficients, a braid letter
-  acts by the skein relation b_i = A + A^-1 e_i, and P(s) is the plat-closure
+  site and coin holds coefficients of cup diagrams, a braid letter acts by
+  the skein relation b_i = A + A^-1 e_i, and P(s) is the plat-closure
   pairing of the site's diagrams, a Kauffman bracket of the links the
   world-lines trace (Kauffman, "State models and the Jones polynomial",
   Topology 1987).  It counts loops only, with no fusion basis or path
-  weights, so it is an independent check on the dense engine.  The skein
-  action is ``tl.skein_act``, the one the exact brackets use.
+  weights, so it is an independent check on the dense engine.  Which
+  diagrams each block holds, where e_i sends each (read off ``tl.skein_act``,
+  the skein action the exact brackets use) and the pairing's loop counts
+  depend on the geometry alone.  They form a pathsum plan, built once per
+  geometry and kept like a walk plan, so a call evolves each level as a few
+  numpy calls per step and pairs all sites in one ``einsum``.
 
 Both use the same loop-weight representation conventions, so they agree to
 numerical precision, not merely up to phase.  ``coin_trace`` and
@@ -41,6 +45,7 @@ engine calls them, and ``HOOKED`` in ``tests/test_reach.py`` says why they stay.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from collections import OrderedDict
@@ -77,9 +82,21 @@ from .tl import (
 #: group of more levels is evolved in chunks of levels
 SWEEP_CHUNK_AMPLITUDES = 2**20
 
-#: cup diagrams one site and coin may hold; a walk needs 68 at t=12, 128 at t=13
-#: (0.7 s, CLI, 2-core VM) and 144 at t=14, and the pairing costs its square per site
-PATHSUM_MAX_SUPPORT = 128
+#: cup diagrams one site and coin may hold; a walk needs 16 at t = 8, 68 at
+#: t = 12, 128 at t = 13, 144 at t = 14 and 256 at t = 15.  At t = 14,
+#: ``su2k dist --engine pathsum --k 4`` takes 0.44-0.60 s in a new process, 0.3 s
+#: of it the plan, and 7 ms on a reused plan (2-core VM); the plan's pairing
+#: holds the square of each site's diagram union
+PATHSUM_MAX_SUPPORT = 144
+
+#: plans kept per process by each engine, the least recently used dropped
+#: first; a sweep or walk at one geometry needs one or two.  A dense walk plan
+#: at t <= 12 takes at most 0.23 MB.  The largest the dense state budget admits
+#: (k=2, t=20: 3328 paths) takes 6.8 MB, most of it the gather index, and the
+#: 16 largest (k=2, t=15..20, every layout) 33 MB together.  A pathsum plan
+#: takes the same size on every layout: 15 KB at t = 8 and 0.58 MB at t = 14,
+#: the longest walk its support budget admits, most of it the loop counts
+PLAN_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -179,26 +196,86 @@ def _loop_pairs(t: int):
                 yield a, ap, False
 
 
-def _gram_value(
-    vecs, n: int, d: float, loops: dict[tuple[Matching, Matching], int]
-) -> complex:
-    """Sum over the given cup-diagram vectors of x^dagger G x, where
-    G[D, E] = d^(loops(D u E) - n/2) is the normalized plat-closure pairing."""
-    diagrams = sorted(set().union(*vecs))
-    m = len(diagrams)
-    exps = np.zeros((m, m))
-    for a, da in enumerate(diagrams):
-        for b in range(a + 1, m):
-            key = (da, diagrams[b])
-            if key not in loops:
-                loops[key] = _cycle_count(*key) - n // 2
-            exps[a, b] = exps[b, a] = loops[key]
-    gram = d**exps
-    total = 0j
-    for vec in vecs:
-        x = np.array([vec.get(diag, 0j) for diag in diagrams])
-        total += np.vdot(x, gram @ x)
-    return total
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _pathsum_plan(n: int, s0: int, t: int):
+    """What a t-step pathsum walk from s0 on n anyons needs that no level,
+    coin or psi changes: (steps, final, loops, support).
+
+    The state after r steps is flat over (site block, coin, cup diagram).
+    Step r maps it to the next by ``steps[r]`` = (src, dst, factor): entry e
+    adds x[src[e]] times weight ``factor[e]`` to row dst[e], where factor =
+    3 (2 out + a) + kind picks the coin entry c[out, a] and the skein weight
+    A, A^-1 or d A^-1 (kind 0, 1, 2; the last where e_i closes a loop).
+    ``final`` places the last state in the (t + 1, 2, m) layout of each
+    site's diagram union padded to m, and ``loops`` (t + 1, m, m) holds the
+    loop count of each pair's plat closure, n/2 on the diagonal.
+
+    Each diagram's image under e_i is read off ``skein_act`` itself.  It
+    keeps zeros, so the diagrams a block holds do not depend on the
+    weights: the plan has the blocks and the largest block, ``support``, of
+    the skein evolution at every level.  A block holding more than
+    ``PATHSUM_MAX_SUPPORT`` diagrams is refused as it grows.
+    """
+    vacuum = tuple(p ^ 1 for p in range(n))  # cups (1,2)(3,4)... on points 0..n-1
+    # block j after r steps: (coin 0, coin 1) maps from diagram to row, at
+    # site s0 - r + 2j
+    state = [({vacuum: 0}, {vacuum: 1})]
+    steps, support, rows = [], 1, 2  # rows: the length of the flat state
+    for r in range(t):
+        new = [[{}, {}] for _ in range(r + 2)]
+        src, dst, factor = [], [], []
+        rows = 0
+        for j, s in enumerate(range(s0 - r, s0 + r + 1, 2)):
+            coins = state[j]
+            for out in (0, 1):
+                target = new[j + out][out]  # filled here alone, so its rows are contiguous
+                for diag in {**coins[0], **coins[1]}:
+                    # with weights 0 and 1 and a loop worth 2, the one nonzero
+                    # term is e_i's image and its value is its weight's kind
+                    (capped, kind), = ((key, w) for key, w in
+                                       skein_act({diag: 1}, s + out - 1, 0, 1, 2).items() if w)
+                    for key in (diag, capped):
+                        if key not in target:
+                            target[key] = rows
+                            rows += 1
+                    for a in (0, 1):
+                        if diag in coins[a]:
+                            src += (coins[a][diag],) * 2
+                            dst += (target[diag], target[capped])
+                            factor += (6 * out + 3 * a, 6 * out + 3 * a + kind)
+                check_budget("nonabelian.PATHSUM_MAX_SUPPORT", len(target), PATHSUM_MAX_SUPPORT,
+                             "cup-diagram count")
+                support = max(support, len(target))
+        steps.append((np.array(src, dtype=np.int32), np.array(dst, dtype=np.int32),
+                      np.array(factor, dtype=np.int8)))
+        state = new
+    # each site's diagram union, numbered in order of first appearance at any
+    # site, so that a pair's loop count is keyed by ids and shared across sites
+    ids: dict[Matching, int] = {}
+    unions = [sorted({ids.setdefault(diag, len(ids)) for coin in coins for diag in coin})
+              for coins in state]
+    diagrams = list(ids)
+    m = max(map(len, unions))
+    final = np.zeros(rows, dtype=np.int64)
+    loops = np.full((t + 1, m, m), n // 2, dtype=np.int8)
+    counts: dict[tuple[int, int], int] = {}
+    for j, (coins, union) in enumerate(zip(state, unions)):
+        for i, diag in enumerate(map(diagrams.__getitem__, union)):
+            for a, coin in enumerate(coins):
+                if diag in coin:
+                    final[coin[diag]] = (2 * j + a) * m + i
+        upper = np.triu_indices(len(union), 1)
+        pair_loops = []
+        for a, b in zip(*(part.tolist() for part in upper)):
+            key = (union[a], union[b])
+            if key not in counts:
+                counts[key] = _cycle_count(diagrams[key[0]], diagrams[key[1]])
+            pair_loops.append(counts[key])
+        loops[j][upper] = loops[j][upper[::-1]] = pair_loops
+    # every caller shares the plan's arrays
+    for array in (*itertools.chain(*steps), final, loops):
+        array.flags.writeable = False
+    return tuple(steps), final, loops, support
 
 
 def distribution_pathsum(
@@ -210,16 +287,19 @@ def distribution_pathsum(
 ) -> Distribution:
     """Walker distribution by evolving cup-diagram states (Kauffman bracket).
 
-    The state holds, for each reachable site and coin, a map from planar cup
-    diagrams on the n points to complex coefficients, starting from the
-    vacuum pairs (1,2)(3,4)... weighted by ``psi``.  Each step tosses the
-    coin and applies b_i = A + A^-1 e_i to each block.  P(s) is the sum over
-    the coin of x^dagger G x with G the plat-closure pairing of diagrams, so
-    the engine uses loop counts only: no fusion basis, path weights or
-    generator matrices.  A block holding more than ``PATHSUM_MAX_SUPPORT``
-    diagrams is refused as it grows.  The meta reports the largest
-    ``diagram_support`` against the ``catalan_bound`` on n points, and the
-    final ``norm_drift`` |1 - sum P|.
+    The state holds, for each reachable site and coin, coefficients of planar
+    cup diagrams on the n points, starting from the vacuum pairs
+    (1,2)(3,4)... weighted by ``psi``.  Each step tosses the coin and applies
+    b_i = A + A^-1 e_i to each block, as a gather-multiply and ``np.bincount``
+    over the step map of the geometry's plan (``_pathsum_plan``).  P(s) is
+    the sum over the coin of x^dagger G x, with G[D, E] = d^(loops(D u E) -
+    n/2) the normalized plat-closure pairing of the site's diagrams, for all
+    sites in one ``einsum``: the engine uses loop counts only, no fusion
+    basis, path weights or generator matrices.  A plan with a block of more
+    than ``PATHSUM_MAX_SUPPORT`` diagrams is refused, cached or not.  The
+    meta reports the largest ``diagram_support`` against the
+    ``catalan_bound`` on n points, whether the call reused a plan
+    (``plan_reused``), and the final ``norm_drift`` |1 - sum P|.
     """
     geom = WalkGeometry.for_steps(t) if geom is None else geom
     geom.check_steps(t)
@@ -228,32 +308,28 @@ def distribution_pathsum(
     c = coin_matrix(coin)
     psi = coin_state(psi)
 
-    vacuum = tuple(p ^ 1 for p in range(n))  # cups (1,2)(3,4)... on points 0..n-1
-    # block j after r steps: (coin 0, coin 1) cup vectors at site s0 - r + 2j
-    state = [tuple({vacuum: complex(amp)} for amp in psi)]
-    support = 1
-    for r in range(t):
-        new = [[{}, {}] for _ in range(r + 2)]
-        for j, s in enumerate(range(s0 - r, s0 + r + 1, 2)):
-            x0, x1 = state[j]
-            for out, block, letter in ((0, j, s - 1), (1, j + 1, s)):
-                tossed = {D: c[out, 0] * x0.get(D, 0j) + c[out, 1] * x1.get(D, 0j)
-                          for D in x0.keys() | x1.keys()}
-                vec = skein_act(tossed, letter, A, 1 / A, d)
-                check_budget("nonabelian.PATHSUM_MAX_SUPPORT", len(vec), PATHSUM_MAX_SUPPORT,
-                             "cup-diagram count")
-                support = max(support, len(vec))
-                new[block][out] = vec
-        state = new
+    misses = _pathsum_plan.cache_info().misses
+    steps, final, loops, support = _pathsum_plan(n, s0, t)
+    check_budget("nonabelian.PATHSUM_MAX_SUPPORT", support, PATHSUM_MAX_SUPPORT,
+                 "cup-diagram count")
+    weights = np.multiply.outer(c.ravel(), [A, 1 / A, d / A]).ravel()  # c[out, a] x kind
+    x = psi  # block 0: the vacuum at coin 0 and coin 1
+    for src, dst, factor in steps:
+        y = x[src] * weights[factor]
+        x = np.bincount(dst, y.real) + 1j * np.bincount(dst, y.imag)
+    sites, m = loops.shape[:2]
+    paired = np.zeros(sites * 2 * m, dtype=complex)
+    paired[final] = x
+    paired = paired.reshape(sites, 2, m)
+    gram = (d ** (np.arange(128.0) - n // 2))[loops]  # d^(loops - n/2), loops < 128
+    # no BLAS matrix product: its first call grows the process by about 0.25 MB
+    values = np.einsum("jai,jik,jak->j", paired.conj(), gram, paired)
     positions = tuple(range(s0 - t, s0 + t + 1, 2))
-    loops: dict[tuple[Matching, Matching], int] = {}
-    probs = np.zeros(t + 1)
-    for j, (s, vecs) in enumerate(zip(positions, state)):
-        value = _gram_value(vecs, n, d, loops)
+    for s, value in zip(positions, values):
         # a sum of squared norms: real and nonnegative
         if abs(value.imag) > 1e-9 or value.real < -1e-9:
             raise NumericError(f"cup-state norm {value} at site {s} is not a nonnegative real")
-        probs[j] = value.real
+    probs = values.real.copy()
     return Distribution(
         positions,
         probs,
@@ -266,6 +342,7 @@ def distribution_pathsum(
             "coin": coin if isinstance(coin, str) else "custom",
             "diagram_support": support,
             "catalan_bound": _catalan(n // 2),
+            "plan_reused": _pathsum_plan.cache_info().misses == misses,
             "norm_drift": abs(1.0 - float(probs.sum())),
         },
     )
@@ -367,13 +444,6 @@ class _WalkPlan:
         """The highest charge the walk's paths reach."""
         return self.table.labels - 1
 
-
-#: walk plans kept per process, the least recently used dropped first.  A plan
-#: at t <= 12 takes at most 0.23 MB, and a sweep or walk at one geometry needs
-#: one or two.  The largest plan the dense state budget admits (k=2, t=20:
-#: 3328 paths) takes 6.8 MB, most of it the gather index, and the 16 largest
-#: (k=2, t=15..20, every layout) 33 MB together
-PLAN_CACHE_SIZE = 16
 
 _plans: OrderedDict[tuple, _WalkPlan] = OrderedDict()
 _plans_lock = threading.Lock()

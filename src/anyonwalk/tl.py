@@ -160,11 +160,11 @@ def _cycle_count(match: Matching, closure: Matching) -> int:
 #: hold n-point matchings and count up to n/2 loops per pairing, and the exact
 #: brackets raise d once per distinct count as a Laurent polynomial, so the
 #: cost grows with n as well as with the word.  At this bound an 8-letter
-#: exact Markov bracket takes 0.04 s and a 13-step pathsum walk 0.7 s on a
-#: 2-core VM, the slowest of the cases measured; at n = 1000 the same bracket
-#: takes 3.9 s.
+#: exact Markov bracket takes 0.04 s, a 13-step pathsum walk 0.5 s and a
+#: 14-step one 0.8-1.2 s (CLI, new process) on a 2-core VM, the slowest of the
+#: cases measured; at n = 1000 the same bracket takes 3.9 s.
 #: Longer words are bounded by ``BRACKET_MAX_SUPPORT``, not by this cap.  No
-#: walk needs more strands: pathsum stops at t = 13 (n = 28), dense at n = 42.
+#: walk needs more strands: pathsum stops at t = 14 (n = 30), dense at n = 42.
 MAX_STRANDS = 128
 
 

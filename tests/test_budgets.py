@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from anyonwalk import abelian, cli, distribution, models, quantum_double, tl
+from anyonwalk import abelian, cli, distribution, models, nonabelian, quantum_double, tl
 from anyonwalk.cli import build_parser, dispatch, main
 from anyonwalk.errors import BudgetError
 
@@ -88,6 +88,20 @@ def test_an_input_past_each_limit_is_refused_by_name(name, monkeypatch, capsys):
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert err == f"error: {refused.value}\n" and len(err) < 200
+
+
+def test_a_cached_pathsum_plan_is_held_to_the_current_limit(monkeypatch):
+    # the plan of a walk accepted at the real limit stays cached; lowered past
+    # its support, the limit refuses the same walk
+    argv = build_parser().parse_args(PAST_THE_LIMIT["nonabelian.PATHSUM_MAX_SUPPORT"][0])
+    dispatch(argv)
+    assert nonabelian._pathsum_plan.cache_info().currsize == 1
+    monkeypatch.setattr(nonabelian, "PATHSUM_MAX_SUPPORT", 15)
+    with pytest.raises(BudgetError) as refused:
+        dispatch(argv)
+    assert (refused.value.name, refused.value.used, refused.value.limit) == (
+        "nonabelian.PATHSUM_MAX_SUPPORT", 16, 15)
+    assert nonabelian._pathsum_plan.cache_info().misses == 1
 
 
 def test_readme_table_names_every_limit():

@@ -126,7 +126,26 @@ planned_calls = st.one_of(
                                    "--t", str(t), "--coin", coin],
               st.lists(planned_levels, min_size=1, max_size=4), st.integers(1, 10),
               st.sampled_from("HU")),
+    # a pathsum walk in the library, where a coin state can be chosen; n is
+    # the default layout, 2t + 4 or 2t + 6, so both parities of n/2 are drawn
+    st.builds(lambda k, t, wider, coin, psi: {"k": k, "t": t, "n": wider and 2 * t + wider,
+                                              "coin": coin, "psi": psi},
+              planned_levels, st.integers(1, 9), st.sampled_from([None, 4, 6]),
+              st.sampled_from("HU"), st.sampled_from([None, (0.6, 0.8j), (0.8, -0.6)])),
 )
+
+
+def planned_call(call):
+    if isinstance(call, list):
+        return run(call)
+    walk = nonabelian.walk_distribution(build_su2k(call["k"]), call["t"], n=call["n"],
+                                        engine="pathsum", coin=call["coin"], psi=call["psi"])
+    return cli._distribution_envelope(walk)
+
+
+def cold_plan_caches():
+    nonabelian._plans.clear()
+    nonabelian._pathsum_plan.cache_clear()
 
 
 @settings(max_examples=40, deadline=None)
@@ -134,12 +153,12 @@ planned_calls = st.one_of(
 def test_a_planned_walk_has_the_payload_of_a_cold_one(calls):
     # the calls run twice in drawn order on one cache, so each may reuse the
     # plans of the ones before it, and every call of the second round does
-    nonabelian._plans.clear()
-    warm = [payload_bytes(run(argv), fmt) for argv in calls * 2 for fmt in ("csv", "json")]
+    cold_plan_caches()
+    warm = [payload_bytes(planned_call(call), fmt) for call in calls * 2 for fmt in ("csv", "json")]
     cold = []
-    for argv in calls:
-        nonabelian._plans.clear()
-        cold += [payload_bytes(run(argv), fmt) for fmt in ("csv", "json")]
+    for call in calls:
+        cold_plan_caches()
+        cold += [payload_bytes(planned_call(call), fmt) for fmt in ("csv", "json")]
     assert warm == cold * 2
 
 
@@ -149,6 +168,11 @@ def test_plan_reuse_is_reported_in_the_meta_only():
     first, second = run(dist), run(dist)
     assert (first.meta["plan_reused"], second.meta["plan_reused"]) == (False, True)
     assert first.payload == second.payload
+    pathsum = ["su2k", "dist", "--engine", "pathsum", "--t", "8", "--k"]
+    first, second = run([*pathsum, "4"]), run([*pathsum, "5"])
+    # another level reuses the plan: a pathsum plan is level-independent
+    assert (first.meta["plan_reused"], second.meta["plan_reused"]) == (False, True)
+    assert first.payload == run([*pathsum, "4"]).payload
     first, second = run(sweep), run(sweep)
     # levels >= 3 share one pass, level 2 runs its own
     assert (first.meta["reachable_passes"], second.meta["reachable_passes"]) == (2, 0)

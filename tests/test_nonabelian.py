@@ -435,7 +435,9 @@ def test_level_batched_sweep_matches_per_level_walks(case, coin, psi):
 def test_pathsum_refuses_a_negative_site_norm(monkeypatch):
     # Counting two loops too many between distinct diagrams breaks the
     # positivity of the pairing: after one step site s0 - 1 holds the vacuum
-    # and e_{s0-1} of it, and its norm becomes (2 - d^2)/2 < 0 at k=3.
+    # and e_{s0-1} of it, and its norm becomes (2 - d^2)/2 < 0 at k=3.  The
+    # loop counts are read when a plan is built, and the autouse fixture
+    # empties the pathsum plan cache, so the patched count builds this plan.
     cycle_count = nonabelian._cycle_count
     monkeypatch.setattr(nonabelian, "_cycle_count", lambda d, e: cycle_count(d, e) + 2)
     with pytest.raises(NumericError, match="not a nonnegative real"):
@@ -473,12 +475,17 @@ def test_qubit_representation_requires_level_two():
 
 
 def test_pathsum_support_budget_refuses_long_walks():
-    start = time.perf_counter()
-    with pytest.raises(DomainError, match="nonabelian.PATHSUM_MAX_SUPPORT"):
-        distribution_pathsum(build_su2k(3), None, 40)
-    assert time.perf_counter() - start < 5.0
+    for t in (15, 40):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="nonabelian.PATHSUM_MAX_SUPPORT") as refused:
+            distribution_pathsum(build_su2k(3), None, t)
+        assert refused.value.used == 256  # the first block over the limit, at step 15
+        assert time.perf_counter() - start < 5.0
     meta = distribution_pathsum(build_su2k(3), None, 12).meta
-    assert meta["diagram_support"] == 68 <= nonabelian.PATHSUM_MAX_SUPPORT
+    assert meta["diagram_support"] == 68
+    # the longest walk the budget admits fills it
+    meta = distribution_pathsum(build_su2k(3), None, 14).meta
+    assert meta["diagram_support"] == 144 == nonabelian.PATHSUM_MAX_SUPPORT
 
 
 def test_large_level_approaches_standard_walk():

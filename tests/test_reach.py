@@ -71,7 +71,7 @@ _PATHSUM_ONLY = (
     "tl.skein_act",
     "tl._cycle_count",
     "tl._evolve",
-    "nonabelian._gram_value",
+    "nonabelian._pathsum_plan",
     "nonabelian.distribution_pathsum",
 )
 #: what each definition must not reach: a module, or a definition and its members
@@ -281,6 +281,13 @@ def test_hooked_definitions_are_the_patched_ones_no_root_reaches():
 
 def test_the_engines_stay_independent():
     assert crossings(_graph()) == []
+
+
+def test_the_independence_table_names_what_exists():
+    # a deleted or renamed name would make its line of APART pass unread
+    graph = _graph()
+    named = set(APART).union(*APART.values())
+    assert sorted(named - graph.definitions - graph.modules) == []
 
 
 def test_the_package_exports_what_it_imports():
