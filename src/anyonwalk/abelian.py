@@ -22,8 +22,10 @@ coefficients drop the oscillatory cross terms and need each eigenvector's
 weight in the initial spin and its velocity <Z_x>.  No eigensolver runs: the
 eigenvalues have the closed form of ``eigenphase_pair`` and M_k is normal,
 so each spectral projector is a product of shifted copies of M_k.  Every
-move is +-1, so M_{k+pi} = -M_k has the eigenvectors of M_k, and an even
-grid is evaluated on its first half.  Grid points whose smallest eigenvalue
+move is +-1, so M_{k+pi} = -M_k has the eigenvectors of M_k and multiplies
+psi_j and a_j alike by (-1)^j: the moment integrands and the long-time
+coefficients are pi-periodic, and both evaluate an even grid on its first
+half.  Grid points whose smallest eigenvalue
 gap is below 1e-8 have no well-defined eigenbasis; they are left out, with
 a warning.
 
@@ -144,6 +146,13 @@ def _k_grid(grid: int) -> np.ndarray:
     return -math.pi + 2.0 * math.pi * (np.arange(grid) + 0.5) / grid
 
 
+def _half_period_grid(grid: int) -> np.ndarray:
+    """The momenta a pi-periodic integrand needs: the first half of an even grid,
+    each point standing for itself and its partner k + pi; an odd grid whole."""
+    ks = _k_grid(grid)
+    return ks[: grid // 2] if grid % 2 == 0 else ks
+
+
 def _shifted(coin: np.ndarray, ks: np.ndarray, moves: np.ndarray) -> np.ndarray:
     """The stack diag(exp(-i k moves)) @ coin over the momenta ``ks``."""
     return np.exp(-1j * np.outer(ks, moves))[:, :, None] * coin
@@ -171,14 +180,15 @@ def moments_analytic(
         )
     psi = _initial_spin(initial_spin)
     coin = (phase_operator(phi) @ COIN4).T  # rows: psi @ coin = A psi
-    shift = np.exp(-1j * np.outer(_k_grid(grid), _MOVES))  # M_k = diag(shift[k]) A
-    spinor = np.broadcast_to(psi, (grid, 4))
-    sheet = np.zeros((grid, 4), dtype=complex)  # a_j = M_k^j T_j psi
+    ks = _half_period_grid(grid)
+    shift = np.exp(-1j * np.outer(ks, _MOVES))  # M_k = diag(shift[k]) A
+    spinor = np.broadcast_to(psi, (len(ks), 4))
+    sheet = np.zeros((len(ks), 4), dtype=complex)  # a_j = M_k^j T_j psi
     for _ in range(t):
         spinor = (spinor @ coin) * shift
         sheet = (sheet @ coin) * shift + spinor * _MOVES
     # <T_t> = <M^t psi|M^t T_t psi> and <T_t^2> = |T_t psi|^2, M_k being unitary
-    return float(np.vdot(spinor if m == 1 else sheet, sheet).real / grid)
+    return float(np.vdot(spinor if m == 1 else sheet, sheet).real / len(ks))
 
 
 def _long_time_coefficients(
@@ -190,11 +200,9 @@ def _long_time_coefficients(
     ``spectrum(ks)`` gives the eigenvalues lam_l of M_k, one row per momentum.  M_k
     is normal, so P_l psi = prod_{m != l} (M_k - lam_m) psi / (lam_l - lam_m) gives
     w_l = |P_l psi|^2 and w_l v_l = <P_l psi|diag(moves)|P_l psi> (w_l v_l^2 is 0 where w_l is).
-    ``moves`` are +-1, so M_{k+pi} = -M_k: an even grid is evaluated on its
-    first half, each point standing for itself and its partner k + pi.
+    ``moves`` are +-1, so M_{k+pi} = -M_k: the sums are pi-periodic.
     """
-    fold = 2 if grid % 2 == 0 else 1
-    ks = _k_grid(grid)[: grid // fold]
+    ks = _half_period_grid(grid)
     lam = spectrum(ks)
     gaps = np.abs(lam[:, :, None] - lam[:, None, :]) + np.eye(len(moves))
     keep = gaps.min(axis=(1, 2)) >= 1e-8
@@ -203,7 +211,7 @@ def _long_time_coefficients(
         raise NumericError("all grid points sit on eigenvalue crossings")
     if used < len(ks):
         warnings.warn(
-            f"excluded {fold * (len(ks) - used)} near-degenerate momentum grid points",
+            f"excluded {grid // len(ks) * (len(ks) - used)} near-degenerate momentum grid points",
             stacklevel=3,
         )
     lam, shift = lam[keep], np.exp(-1j * np.outer(ks[keep], moves))

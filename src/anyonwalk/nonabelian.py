@@ -138,7 +138,8 @@ class WalkGeometry:
         return cls(n, s0)
 
     def check_steps(self, t: int) -> None:
-        if not (self.s0 - t >= 1 and self.s0 + t <= self.n - 1):
+        # the extreme moves braid strands (s0 - t, s0 - t + 1) and (s0 + t - 1, s0 + t)
+        if not (self.s0 - t >= 1 and self.s0 + t <= self.n):
             raise BoundaryError(
                 f"a {t}-step walk from site {self.s0} leaves the strand range of n={self.n}"
             )

@@ -443,6 +443,34 @@ def test_moments_match_direct_simulation_for_a_complex_spin():
         assert abs(moments_analytic(0.7, 30, m, spin) - ref) <= 1e-10 * max(abs(ref), 1.0)
 
 
+@pytest.mark.parametrize("t", [1, 9, 40])
+@pytest.mark.parametrize("phi", [0.0, 0.7, math.pi / 2, 2.2])
+def test_an_even_moment_grid_agrees_with_the_odd_one_past_it(phi, t):
+    # an even grid is evaluated on its first half, an odd one in full
+    for spin in _oracle_spins():
+        for m in (1, 2):
+            for half in (m * t + 1, 3 * m * t, 512):
+                even = moments_analytic(phi, t, m, spin, 2 * half)
+                odd = moments_analytic(phi, t, m, spin, 2 * half + 1)
+                assert abs(even - odd) <= 1e-12 * max(abs(odd), 1.0), (m, half, spin)
+
+
+_SURFACE_TS = [1, 2, 5, 10, 17, 30]
+_SURFACE_PHIS = [0.0, 0.3, 1.0, math.pi / 2, 2.5]
+
+
+def test_every_variance_surface_row_matches_simulation_and_moments():
+    rows = variance_surface(_SURFACE_PHIS, _SURFACE_TS, analytic=True)
+    assert [(t, phi) for t, phi, _, _ in rows] == [
+        (t, phi) for phi in _SURFACE_PHIS for t in _SURFACE_TS
+    ]
+    for t, phi, v_sim, v_analytic in rows:
+        assert v_sim == pytest.approx(simulate_distribution(phi, t).variance(), rel=1e-9)
+        m1, m2 = (moments_analytic(phi, t, m) for m in (1, 2))
+        assert v_sim == pytest.approx(m2 - m1 * m1, rel=1e-9)
+        assert v_analytic == pytest.approx(asymptotic_variance_coefficient(phi) * t**2, rel=1e-14)
+
+
 @pytest.mark.parametrize("grid", [0, -4])
 def test_empty_momentum_grid_is_a_domain_error(grid):
     with pytest.raises(DomainError, match="at least 1 point"):

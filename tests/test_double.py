@@ -4,10 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from anyonwalk import quantum_double
 from anyonwalk.distribution import baseline_classical, baseline_quantum, distance
 from anyonwalk.errors import DomainError, IrreducibleWordError
 from anyonwalk.models import build_dsn
+from anyonwalk.nonabelian import WalkGeometry, _loop_pairs, path_braid_word
 from anyonwalk.quantum_double import (
+    _coin_pair_real,
+    _dsn_plan,
     double_walk_distribution,
     markov_trace_word,
     trace_factor,
@@ -200,3 +204,51 @@ def test_bad_arguments():
         double_walk_distribution(4, 2)
     with pytest.raises(DomainError):
         double_walk_distribution(5, 2, coin="X")
+
+
+def _per_pair_distribution(N, t, coin):
+    """The walk as a sum over path pairs, each pair's word traced on its own."""
+    geom = WalkGeometry.for_steps(t)
+    totals = {}
+    for a, ap, diagonal in _loop_pairs(t):
+        s = geom.s0 + 2 * sum(a) - t
+        if diagonal:
+            weight = Fraction(1, 2**t)
+        else:
+            word = path_braid_word(geom, a) * path_braid_word(geom, ap).inverse()
+            weight = 2 * _coin_pair_real(a, ap, coin, t) * markov_trace_word(N, word).value
+        totals[s] = totals.get(s, 0) + weight
+    return [totals[s] for s in sorted(totals)]
+
+
+@pytest.mark.parametrize("N", [5, 6, 11, 3739])
+@pytest.mark.parametrize("coin", ["U", "H"])
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_planned_walk_equals_the_per_pair_trace_sum(t, coin, N):
+    assert double_walk_distribution(N, t, coin=coin).exact == _per_pair_distribution(N, t, coin)
+
+
+def test_the_plan_is_reused_at_another_group_size():
+    first = double_walk_distribution(5, 4)
+    warm = double_walk_distribution(9, 4)
+    assert not first.meta["plan_reused"] and warm.meta["plan_reused"]
+    _dsn_plan.cache_clear()
+    cold = double_walk_distribution(9, 4)
+    assert not cold.meta["plan_reused"]
+    assert warm.exact == cold.exact and list(warm.probs) == list(cold.probs)
+
+
+@pytest.mark.parametrize("coin", ["U", "H"])
+@pytest.mark.parametrize("t", [3, 4])
+def test_a_short_walk_traces_one_product_of_squared_runs_per_call(t, coin, monkeypatch):
+    traced = []
+    trace = quantum_double.markov_trace_word
+
+    def counted(N, word):
+        traced.append(sorted(m for _, m in word))
+        return trace(N, word)
+
+    monkeypatch.setattr(quantum_double, "markov_trace_word", counted)
+    double_walk_distribution(5, t, coin=coin)
+    double_walk_distribution(6, t, coin=coin)
+    assert traced == [[-2, 2]] * 2

@@ -60,6 +60,49 @@ def test_geometry_validation():
         WalkGeometry(6, 3).check_steps(4)
 
 
+def _spells_every_path(geom, t, paths):
+    try:
+        for bits in paths:
+            path_braid_word(geom, bits)
+    except BoundaryError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("t", range(1, 13))
+def test_check_steps_accepts_exactly_the_walks_whose_letters_are_strands(t):
+    # path_braid_word refuses a letter outside 1..n-1; the letters of a path are
+    # its start site plus offsets that depend on the path alone
+    paths = list(itertools.product((0, 1), repeat=t))
+    wide = WalkGeometry(4 * t + 4, 2 * t + 2)
+    offsets = {l - wide.s0 for bits in paths for l in path_braid_word(wide, bits).letters}
+    for n in range(4, 2 * t + 9, 2):
+        for s0 in range(1, n + 1):
+            geom = WalkGeometry(n, s0)
+            walkable = all(1 <= s0 + o <= n - 1 for o in offsets)
+            if t <= 8:
+                assert walkable == _spells_every_path(geom, t, paths), (n, s0)
+            try:
+                geom.check_steps(t)
+            except BoundaryError:
+                assert not walkable, (n, s0)
+            else:
+                assert walkable, (n, s0)
+
+
+@pytest.mark.parametrize("k,t,n", [(3, 3, 8), (2, 1, 4), (4, 5, 12)])
+def test_a_walk_reaching_the_last_strand_runs_on_both_engines(k, t, n):
+    # n = 0 mod 4 moves the start site to n/2 + 1, so the walk reaches site n
+    geom = WalkGeometry.for_steps(t, n)
+    assert geom.s0 + t == n
+    for coin in ("H", "U"):
+        dense = distribution_dense(build_su2k(k), geom, t, coin=coin)
+        pathsum = distribution_pathsum(build_su2k(k), geom, t, coin=coin)
+        assert dense.positions == pathsum.positions and dense.positions[-1] == n
+        assert abs(dense.probs.sum() - 1) < 1e-12
+        assert np.max(np.abs(dense.probs - pathsum.probs)) <= 1e-12
+
+
 def test_engines_agree_even_at_misaligned_start_site():
     # an even start site walks a different link set; the engines still match
     model = build_su2k(3)
@@ -417,15 +460,10 @@ def test_level_batched_sweep_matches_per_level_walks(case, coin, psi):
     quantum = baseline_quantum(t, coin, psi)
     classical = baseline_classical(t)
     want = []
-    try:
-        for k in ks:
-            dist = walk_distribution(build_su2k(k), t, n=n, engine="dense", coin=coin, psi=psi)
-            centered = dist.shifted(dist.meta["s0"])
-            want.append((k, distance(centered, quantum), distance(centered, classical)))
-    except BoundaryError:  # an n = 0 mod 4 layout too narrow for its shifted start site
-        with pytest.raises(BoundaryError):
-            nonabelian.sweep_distances(ks, t=t, n=n, coin=coin, psi=psi)
-        return
+    for k in ks:
+        dist = walk_distribution(build_su2k(k), t, n=n, engine="dense", coin=coin, psi=psi)
+        centered = dist.shifted(dist.meta["s0"])
+        want.append((k, distance(centered, quantum), distance(centered, classical)))
     rows = nonabelian.sweep_distances(ks, t=t, n=n, coin=coin, psi=psi)
     assert [k for k, _, _ in rows] == ks
     for got, expected in zip(rows, want):
