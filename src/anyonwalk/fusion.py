@@ -17,13 +17,13 @@ at most one off-diagonal entry, so the walk applies ``braid_table``'s gather
 form b_i x = diag * x + off * x[partner].  It is built in two halves:
 ``tl_rows`` finds the partner rows and the charges the weights read, which
 no level changes, and ``braid_weights`` turns them into diag and off for a
-sequence of levels at once, with a leading level axis.  The dense walk keeps
-the first half in its walk plan, reused for a repeated geometry within a
-process (``nonabelian._walk_plan``).  ``braid_generator`` and
-``tl_generator`` are one level's entries as a scipy CSR matrix, built on
-each call.  A walk
-needs only the paths it can reach from the vacuum-pair path
-(``reachable_fusion_space``); the full basis (``enumerate_fusion_basis``)
+sequence of levels at once, with a leading level axis.  ``braid_generator``
+and ``tl_generator`` are one level's entries as a scipy CSR matrix, built on
+each call.  A walk needs only the paths it can reach from the vacuum-pair
+path (``reachable_fusion_space``).  The dense walk plans each geometry once,
+on the paths it reaches at any level (the pass's level-free form), keeps the
+first half of the table in that plan, and restricts its rows for a lower
+level (``nonabelian._WalkPlan``).  The full basis (``enumerate_fusion_basis``)
 serves the generator dump, and the CSR matrices, the only users of scipy,
 serve tests and the benchmark's checker (``tests/test_reach.py`` checks what
 reaches each definition).
@@ -45,12 +45,13 @@ from .tl import MAX_STRANDS
 
 #: refuse n-anyon spaces with 2 x (n+2) x dim above this many amplitudes, dim the full
 #: space's dimension, which is counted without listing it.  The dense walk holds only
-#: 2 x (t+1) x its reachable paths (266 of 265721 at k=4, t=12), but no bound on that
-#: count is proven, so the budget stays on the full space, where it is checked before any
-#: work (k=2, t=20 counts 92 M and runs in 0.3 s on a 2-core VM).  Every level has
-#: dim >= 2^(n/2-1), and ``_reach_table`` checks that floor after the strand cap, so
-#: n <= 42: the n-bit path keys, and the reachable pass's keys with the site above
-#: them, fit in 48 bits.
+#: 2 x (t+1) x its reachable paths (266 of 265721 at k=4, t=12), and its plan the paths
+#: of every level (6527 at t=20, where k=2 walks 3328), but no bound on those counts is
+#: proven, so the budget stays on the full space, where it is checked before any work
+#: (k=2, t=20 counts 92 M and runs in 0.25 s through the CLI on a 2-core VM).  Every
+#: level has dim >= 2^(n/2-1), and ``_reach_table`` checks that floor after the strand
+#: cap, so n <= 42: the n-bit path keys, and the reachable pass's keys with the site
+#: above them, fit in 48 bits.
 DENSE_STATE_BUDGET = 2**27
 
 
@@ -77,7 +78,7 @@ def _path_keys(charges: np.ndarray) -> np.ndarray:
 class FusionSpace:
     """Indexed fusion basis of n walker anyons with vacuum total charge."""
 
-    model: AnyonModel
+    model: AnyonModel | None  # None: no level truncates the labels
     n: int
     charges: np.ndarray  # (dim, n-1) uint8 charges c_1..c_{n-1}, at most 21 as n <= 42
     keys: np.ndarray = field(init=False, repr=False)  # sorted path keys, one per row
@@ -96,7 +97,7 @@ class FusionSpace:
 
     def index(self, outcomes: tuple[int, ...]) -> int:
         """Basis row of an outcome tuple; DomainError unless it is admissible."""
-        row = np.array([self.model.sigma, *outcomes], dtype=np.int64)
+        row = np.array([AnyonModel.sigma, *outcomes], dtype=np.int64)
         if len(row) == self.n - 1 and np.all(np.abs(np.diff(row)) == 1):
             at, found = self._find(_path_keys(row[None, :]))
             if found[0]:
@@ -104,9 +105,9 @@ class FusionSpace:
         raise DomainError(f"outcome tuple {outcomes} is not an admissible basis state")
 
 
-def _reach_table(model: AnyonModel, n: int) -> np.ndarray:
+def _reach_table(model: AnyonModel | None, n: int) -> np.ndarray:
     """reach[q][r], the number of ways charge q fuses down to the vacuum in
-    exactly r more steps.
+    exactly r more steps, at ``model``'s level or, for None, at none.
 
     Only labels q <= n are counted: label q needs q steps to fuse back to the
     vacuum, so a larger one never lies on an n-anyon path."""
@@ -115,25 +116,25 @@ def _reach_table(model: AnyonModel, n: int) -> np.ndarray:
     check_budget("tl.MAX_STRANDS", n, MAX_STRANDS, "strand count")
     # every level has dim >= 2^(n/2-1), so n <= 42 and every count, at most 2^n, fits in int64
     check_state_budget(n, 2 ** (n // 2 - 1))
-    nlab = min(model.k + 1, n + 1)
+    nlab = n + 1 if model is None else min(model.k + 1, n + 1)
     # sigma x q = (q - 1) + (q + 1) within the labels 0..k, so no fusion tensor is read
     steps = np.eye(nlab, k=1, dtype=np.int64) + np.eye(nlab, k=-1, dtype=np.int64)
     reach = np.zeros((nlab, n + 1), dtype=np.int64)
-    reach[model.vacuum, 0] = 1
+    reach[AnyonModel.vacuum, 0] = 1
     for r in range(1, n + 1):
         reach[:, r] = steps @ reach[:, r - 1]
-    if not reach[model.sigma, n - 1]:
+    if not reach[AnyonModel.sigma, n - 1]:
         raise DomainError(f"no admissible fusion paths for {model.name} with n={n}")
     return reach
 
 
 def fusion_dimension(model: AnyonModel, n: int) -> int:
     """Number of admissible charge paths, counted without listing them."""
-    return int(_reach_table(model, n)[model.sigma, n - 1])
+    return int(_reach_table(model, n)[AnyonModel.sigma, n - 1])
 
 
-def enumerate_fusion_basis(model: AnyonModel, n: int) -> FusionSpace:
-    """Enumerate all admissible charge paths, in lexicographic outcome order.
+def enumerate_fusion_basis(model: AnyonModel | None, n: int) -> FusionSpace:
+    """Enumerate the admissible paths (of every level for None) in lexicographic order.
 
     The paths are counted first, so a space over the dense state budget is
     refused before any of it is listed.  Then every path is extended one
@@ -142,11 +143,11 @@ def enumerate_fusion_basis(model: AnyonModel, n: int) -> FusionSpace:
     vacuum in the steps left.
     """
     reach = _reach_table(model, n)
-    check_state_budget(n, int(reach[model.sigma, n - 1]))
+    check_state_budget(n, int(reach[AnyonModel.sigma, n - 1]))
     # live[c + 1, r]: charge c fuses to the vacuum in r steps; the padding
     # rows refuse the charges -1 and len(reach)
     live = np.pad(reach > 0, ((1, 1), (0, 0)))
-    paths = np.full((1, 1), model.sigma, dtype=np.uint8)
+    paths = np.full((1, 1), AnyonModel.sigma, dtype=np.uint8)
     for slot in range(1, n - 1):
         child = paths[:, -1, None].astype(np.int64) + [-1, 1]
         parent, step = np.nonzero(live[child + 1, n - 1 - slot])
@@ -154,22 +155,26 @@ def enumerate_fusion_basis(model: AnyonModel, n: int) -> FusionSpace:
     return FusionSpace(model=model, n=n, charges=paths)
 
 
-def reachable_fusion_space(model: AnyonModel, n: int, s0: int, t: int) -> FusionSpace:
-    """The paths a t-step walk from site s0 reaches from the vacuum-pair path.
+def reachable_fusion_space(model: AnyonModel | None, n: int, s0: int, t: int) -> FusionSpace:
+    """The paths a t-step walk from site s0 reaches from the vacuum-pair path,
+    at ``model``'s level or, for None, at any level.
 
     A breadth-first pass over (site, path) rows held in one array: site s
     braids strands s-1 and s, and e_i couples a path only to the one whose
     charge at slot i is 2 c_{i-1} - c_i, where c_{i-1} = c_{i+1} and that
-    charge is a label.  Every admissible partner of every path held at a site
-    is kept, so generators on this space act on the walk state exactly as on
-    the full basis, which is never listed.  Rows are deduplicated by one key,
-    the site above the n-bit path key.  The walk must stay within strands
-    1..n-1, and the caller checks the state budget first, which keeps that
-    key within 48 bits.
+    charge is a label, at most k at level k.  Every admissible partner of
+    every path held at a site is kept, so generators on this space act on the
+    walk state exactly as on the full basis, which is never listed.  The
+    level-free form truncates no partner; at t <= 12, level k reaches exactly
+    its paths whose charges stay at or below k (``tests/test_fusion.py``).
+    Rows are deduplicated by one key, the site above the n-bit path key.  The
+    walk must stay within strands 1..n-1, and the caller checks the state
+    budget first, which keeps that key within 48 bits.
     """
-    top = model.k
+    top = n if model is None else model.k  # n cuts no charge: a path's are at most n / 2
     # the extended path c_0, ..., c_n, vacuum at both ends
-    paths = np.array([[model.sigma if j % 2 else model.vacuum for j in range(n + 1)]])
+    paths = np.array([[AnyonModel.sigma if j % 2 else AnyonModel.vacuum for j in range(n + 1)]],
+                     dtype=np.int16)  # charges are at most n / 2, so 2 c_{i-1} fits
     keys = _path_keys(paths[:, 1:-1])
     sites = np.array([s0])
     for _ in range(t):
@@ -199,7 +204,7 @@ def reachable_fusion_space(model: AnyonModel, n: int, s0: int, t: int) -> Fusion
 def vacuum_pair_state(space: FusionSpace) -> np.ndarray:
     """Unit vector on the alternating path (1, sigma, 1, sigma, ...)."""
     outcomes = tuple(
-        space.model.vacuum if j % 2 == 0 else space.model.sigma
+        AnyonModel.vacuum if j % 2 == 0 else AnyonModel.sigma
         for j in range(space.n - 2)
     )
     vec = np.zeros(space.dim, dtype=complex)

@@ -44,19 +44,14 @@ class AnyonModel:
     d: float  # quantum dimension of the walker label
     a_angle: Fraction  # A = exp(i * pi * a_angle)
     k: int  # level: the labels are 0..k
+    # the labels of the vacuum and the walker particle, the same at every
+    # level; unannotated, so class attributes and not fields
+    vacuum = 0
+    sigma = 1
 
     @property
     def A(self) -> complex:
         return cmath.exp(1j * math.pi * float(self.a_angle))
-
-    @property
-    def sigma(self) -> int:
-        """Label of the walker particle."""
-        return 1
-
-    @property
-    def vacuum(self) -> int:
-        return 0
 
     def loop_weights(self, count: int) -> tuple[float, ...]:
         """Loop weights w(q) = sin(pi (q+1)/(k+2)) / sin(pi/(k+2)) of the labels

@@ -15,15 +15,16 @@ Two engines compute P(s, t):
   numpy calls: the coin toss and one gather-multiply with the braid table,
   over all sites and both directions at once.  One routine,
   ``_dense_levels``, runs it with a level axis, for one level here and for
-  many in ``sweep_distances``: levels whose walks reach the same paths
-  share one evolution, since truncating the labels at k changes nothing
-  once k is at least the highest charge the walk reaches (k >= 3 at
-  t = 10).  What such a group shares and no level's weights change (the
-  reachable paths, the start vector, the level-independent half of the
-  gather table) is a walk plan, built by one reachable pass and reused for
-  a repeated geometry within a process, at most ``PLAN_CACHE_SIZE`` (16)
-  plans; a planned walk computes only its loop weights, A and the
-  evolution.
+  many in ``sweep_distances``.  What no level's weights change (the paths
+  the walk reaches at any level, the start vector, the level-independent
+  half of the gather table) is a walk plan, built by one level-free
+  reachable pass per geometry and reused within a process, at most
+  ``PLAN_CACHE_SIZE`` (16) plans.  Truncating the labels at k changes
+  nothing once k is at least the highest charge the paths reach (k >= 3 at
+  t = 10), so those levels walk the plan itself and share one evolution; a
+  lower level walks the plan's view of the paths within its labels, built
+  once per plan and level.  A planned walk computes only its loop weights,
+  A and the evolution.
 * ``distribution_pathsum`` evolves the same walk on planar cup diagrams: each
   site and coin holds coefficients of cup diagrams, a braid letter acts by
   the skein relation b_i = A + A^-1 e_i, and P(s) is the plat-closure
@@ -49,7 +50,7 @@ import functools
 import itertools
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,10 +91,12 @@ SWEEP_CHUNK_AMPLITUDES = 2**20
 PATHSUM_MAX_SUPPORT = 144
 
 #: plans kept per process by each engine, the least recently used dropped
-#: first; a sweep or walk at one geometry needs one or two.  A dense walk plan
-#: at t <= 12 takes at most 0.23 MB.  The largest the dense state budget admits
-#: (k=2, t=20: 3328 paths) takes 6.8 MB, most of it the gather index, and the
-#: 16 largest (k=2, t=15..20, every layout) 33 MB together.  A pathsum plan
+#: first; a walk or sweep at one geometry needs one.  A dense walk plan holds
+#: the paths of every level: 0.23 MB at most at t <= 12, and its views of levels 2
+#: and 3 0.38 MB more.  The largest the state budget admits (t = 20, 6527 paths,
+#: level 2 alone admitted) takes 2.5 MB without its unused gather index, and its
+#: level-2 view (3328 paths) 6.8 MB, most of it the gather index; the 16 largest
+#: (t = 18..20 on 40 and 42 anyons) 85 MB together.  A pathsum plan
 #: takes the same size on every layout: 15 KB at t = 8 and 0.58 MB at t = 14,
 #: the longest walk its support budget admits, most of it the loop counts
 PLAN_CACHE_SIZE = 16
@@ -428,13 +431,30 @@ def _sizes(full: int, diag: np.ndarray, off: np.ndarray) -> dict:
 @dataclass(frozen=True, eq=False)
 class _WalkPlan:
     """What a dense t-step walk from s0 needs that no level's loop weights or
-    A change: the vacuum start vector ``alpha`` on the paths it reaches, the
-    level-independent half ``table`` of the generators s0 - t .. s0 + t - 1
-    and each step's flat ``gather`` index."""
+    A change: the vacuum start vector ``alpha`` on the paths it reaches at any
+    level, each path's ``highest`` charge, the level-independent half
+    ``table`` of the generators s0 - t .. s0 + t - 1 and each step's flat
+    ``gather`` index; and its ``views`` for lower levels (``at``)."""
 
     alpha: np.ndarray
+    highest: np.ndarray
     table: TLRows
-    gather: tuple[np.ndarray, ...]
+    views: dict[int, _WalkPlan] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        # every caller shares the plan's arrays
+        table = self.table
+        for array in (self.alpha, self.highest, table.partner, table.fuse, table.found,
+                      table.left, table.mid, table.mid_partner):
+            array.flags.writeable = False
+
+    @functools.cached_property
+    def gather(self) -> tuple[np.ndarray, ...]:
+        # built on first use: a plan whose levels all walk views never needs it
+        gather = _gather_index(self.table.partner, len(self.table.partner) // 2)
+        for array in gather:
+            array.flags.writeable = False
+        return gather
 
     @property
     def dim(self) -> int:
@@ -445,6 +465,28 @@ class _WalkPlan:
         """The highest charge the walk's paths reach."""
         return self.table.labels - 1
 
+    def at(self, k: int) -> _WalkPlan:
+        """This plan if k >= ``top``, else its view on the paths whose charges
+        stay at or below k, built once: every path level k reaches and, at
+        t <= 12, no other (``tests/test_fusion.py``), so the view's tables are
+        a level-k pass's.  A partner above k leaves it; its row keeps itself."""
+        if k >= self.top:
+            return self
+        if k not in self.views:
+            keep = self.highest <= k
+            rows = np.flatnonzero(keep)
+            table = self.table
+            partner = table.partner[:, rows]
+            found = table.found[:, rows] & keep[partner]
+            renumbered = np.cumsum(keep)[partner] - 1  # each kept partner's row in the view
+            partner = np.where(found, renumbered, np.arange(len(rows))).astype(np.int32)
+            mid, highest = table.mid[:, rows], self.highest[rows]
+            view = TLRows(partner, table.fuse[:, rows], found, table.left[:, rows], mid,
+                          np.take_along_axis(mid, partner, axis=1), int(highest.max()) + 1)
+            # threads that race build equal views, and all of them read the first stored
+            self.views.setdefault(k, _WalkPlan(self.alpha[rows], highest, view))
+        return self.views[k]
+
 
 _plans: OrderedDict[tuple, _WalkPlan] = OrderedDict()
 _plans_lock = threading.Lock()
@@ -452,38 +494,28 @@ _passes = 0
 
 
 def reachable_passes() -> int:
-    """Reachable passes run so far in this process: a walk or sweep whose
-    geometry was planned before runs none."""
+    """Reachable passes run so far in this process, one per geometry planned:
+    a walk or sweep whose geometry was planned before runs none."""
     return _passes
 
 
-def _walk_plan(model: AnyonModel, n: int, s0: int, t: int) -> _WalkPlan:
-    """The plan of a t-step walk from s0 on n anyons at ``model``'s level,
-    reused from an earlier call where its paths are the same.
-
-    A partner charge is mid +- 2 where its neighbors are mid +- 1, so a pass
-    at level k whose paths reach no charge above m < k proposed none above
-    m + 1 <= k and cut none for exceeding k: every level >= m reaches the
-    same paths, and the plan serves them all.  A plan with m = k serves level
-    k alone.  Either way a level with no plan runs exactly one pass.
-    """
+def _walk_plan(n: int, s0: int, t: int) -> _WalkPlan:
+    """The plan of a t-step walk from s0 on n anyons, on the paths it reaches
+    at any level (the level-free ``reachable_fusion_space``), reused from an
+    earlier call of the same geometry."""
     global _passes
+    key = (n, s0, t)
     with _plans_lock:
-        for key in ((n, s0, t, None), (n, s0, t, model.k)):
-            plan = _plans.get(key)
-            if plan is not None and plan.top <= model.k:
-                _plans.move_to_end(key)
-                return plan
-    space = reachable_fusion_space(model, n, s0, t)
-    table = tl_rows(space, range(s0 - t, s0 + t))
-    plan = _WalkPlan(vacuum_pair_state(space), table, _gather_index(table.partner, t))
-    # every caller shares the plan's arrays
-    for array in (plan.alpha, *plan.gather, table.partner, table.fuse, table.found, table.left,
-                  table.mid, table.mid_partner):
-        array.flags.writeable = False
+        plan = _plans.get(key)
+        if plan is not None:
+            _plans.move_to_end(key)
+            return plan
+    space = reachable_fusion_space(None, n, s0, t)
+    plan = _WalkPlan(vacuum_pair_state(space), space.charges.max(axis=1),
+                     tl_rows(space, range(s0 - t, s0 + t)))
     with _plans_lock:
         _passes += 1
-        _plans[n, s0, t, model.k if plan.top == model.k else None] = plan
+        _plans[key] = plan
         if len(_plans) > PLAN_CACHE_SIZE:
             _plans.popitem(last=False)
     return plan
@@ -493,31 +525,29 @@ def _dense_levels(models, n: int, s0: int, t: int, c: np.ndarray, psi: np.ndarra
     """P(s) after t steps from site s0 for each of ``models``, as a map from
     level to row, and the sizes of the highest level's walk.
 
-    Levels are walked in groups that share a fusion space.  After the state
-    budget is checked at the highest pending level K, its plan
-    (``_walk_plan``) gives the paths and their highest charge m.  Truncating
-    the labels at k rejects only partners above k, and no path goes above m,
-    so every level in [m, K] reaches exactly these paths: the group shares
-    the plan, and evolves in one ``_evolve`` call with its own loop weights
-    and A per level, in chunks of levels if it would hold more than
-    ``SWEEP_CHUNK_AMPLITUDES`` per array.  The levels below m form the next
-    group.
+    After the state budget is checked at the highest level, the geometry's
+    plan (``_walk_plan``) gives the paths of every level and their highest
+    charge m.  Truncating the labels at k rejects only partners above k, so
+    every level k >= m reaches all of them and walks the plan itself, and a
+    level below m walks its view (``_WalkPlan.at``).  Each group of levels on
+    one plan evolves in one ``_evolve`` call with its own loop weights and A
+    per level, in chunks of levels if it would hold more than
+    ``SWEEP_CHUNK_AMPLITUDES`` per array.
     """
+    models = sorted(models, key=lambda model: model.k, reverse=True)
+    # counted in milliseconds, so an oversized walk is refused before the pass
+    full = fusion_dimension(models[0], n)
+    check_state_budget(n, full)
+    plan = _walk_plan(n, s0, t)
     rows, sizes = {}, None
-    pending = sorted(models, key=lambda model: model.k, reverse=True)
-    while pending:
-        # counted in milliseconds, so an oversized walk is refused before the pass
-        full = fusion_dimension(pending[0], n)
-        check_state_budget(n, full)
-        plan = _walk_plan(pending[0], n, s0, t)
-        group = [model for model in pending if model.k >= plan.top]
-        pending = pending[len(group):]
-        width = max(1, SWEEP_CHUNK_AMPLITUDES // (2 * t * plan.dim))
+    for level, group in itertools.groupby(models, key=lambda model: min(model.k, plan.top)):
+        group, view = list(group), plan.at(level)
+        width = max(1, SWEEP_CHUNK_AMPLITUDES // (2 * t * view.dim))
         for i in range(0, len(group), width):
             chunk = group[i : i + width]
-            diag, off = braid_weights(plan.table, chunk)
+            diag, off = braid_weights(view.table, chunk)
             sizes = sizes or _sizes(full, diag, off)
-            for model, p in zip(chunk, _evolve(diag, off, plan.gather, plan.alpha, t, c, psi)):
+            for model, p in zip(chunk, _evolve(diag, off, view.gather, view.alpha, t, c, psi)):
                 rows[model.k] = p
     return rows, sizes
 
@@ -628,9 +658,9 @@ def sweep_distances(
     """Distances of the level-k walk to the standard quantum and classical
     walks at fixed t, as rows (k, d_q, d_c) in the order of ``ks``.
 
-    The walks are ``_dense_levels`` over the distinct levels, which shares
-    one walk plan and one evolution among the levels that reach the same
-    fusion paths, and reuses the plans of earlier calls.
+    The walks are ``_dense_levels`` over the distinct levels, which plans
+    the geometry once for every level, or reuses an earlier call's plan, and
+    shares one evolution among the levels that walk the same paths.
     """
     from .distribution import baseline_classical, baseline_quantum, distance
     from .models import build_su2k

@@ -174,8 +174,8 @@ def test_plan_reuse_is_reported_in_the_meta_only():
     assert (first.meta["plan_reused"], second.meta["plan_reused"]) == (False, True)
     assert first.payload == run([*pathsum, "4"]).payload
     first, second = run(sweep), run(sweep)
-    # levels >= 3 share one pass, level 2 runs its own
-    assert (first.meta["reachable_passes"], second.meta["reachable_passes"]) == (2, 0)
+    # one level-free pass plans the geometry for every level
+    assert (first.meta["reachable_passes"], second.meta["reachable_passes"]) == (1, 0)
     assert first.payload == second.payload
 
 

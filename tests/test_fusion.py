@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from anyonwalk.errors import DomainError
+from anyonwalk.errors import BudgetError, DomainError
 from anyonwalk.fusion import (
     braid_generator,
     braid_table,
+    check_state_budget,
     enumerate_fusion_basis,
     fusion_dimension,
     reachable_fusion_space,
@@ -361,6 +362,29 @@ def test_reachable_pass_matches_the_per_site_oracle(k):
         space = reachable_fusion_space(model, geom.n, geom.s0, t)
         assert space.charges.dtype == np.uint8
         assert np.array_equal(space.charges, reachable_by_site_oracle(model, geom.n, geom.s0, t))
+
+
+def test_a_levels_reachable_paths_are_the_level_free_paths_within_its_labels():
+    # the dense walk plans a geometry once, on the level-free paths, and walks
+    # a lower level on the paths whose charges stay within its labels
+    # (nonabelian._WalkPlan.at); those must be exactly the level's own
+    # paths, so that the level's tables are the ones its own pass gives
+    cases = 0
+    for t in range(1, 13):
+        for n in range(2 * t + 2, 2 * t + 9, 2):
+            for s0 in range(t + 1, n - t + 1):
+                free = reachable_fusion_space(None, n, s0, t)
+                assert free.model is None
+                highest = free.charges.max(axis=1)
+                for k in range(2, int(highest.max()) + 2):
+                    try:
+                        check_state_budget(n, fusion_dimension(build_su2k(k), n))
+                    except BudgetError:
+                        continue
+                    own = reachable_fusion_space(build_su2k(k), n, s0, t)
+                    assert np.array_equal(own.keys, free.keys[highest <= k])
+                    cases += 1
+    assert cases == 636
 
 
 def untrimmed_dimension(model, n):

@@ -3,12 +3,15 @@
 Each test asserts the intended behavior.  While the defect stands the test
 fails and is reported as xfailed; a fix turns it into an XPASS, which fails
 the run, so the fixing change drops the marker and updates the ROADMAP item.
-Each input is refused early today, in a few milliseconds.
+Each input fails today within a few milliseconds.
 """
 
 import pytest
 
+import anyonwalk.fusion as fusion
+import anyonwalk.nonabelian as nonabelian
 from anyonwalk.cli import main
+from anyonwalk.models import build_su2k
 
 
 def _known(item: str, why: str):
@@ -33,3 +36,20 @@ def test_a_sweep_routes_a_group_the_dense_budget_refuses(capsys):
               "b6^2 b7^2 b6^-2 b7^-2")
 def test_a_five_step_dsn_walk_is_computed(capsys):
     assert main(["dsn", "dist", "--N", "5", "--t", "5"]) == 0
+
+
+@_known("21", "the qubit representation builds each generator as a dense 2^m x 2^m "
+              "matrix, 4.3 GB at t = 13, though the state budget admits the walk")
+def test_a_long_qubit_walk_builds_no_dense_generator(monkeypatch):
+    build = getattr(fusion, "su22_qubit_generator", None)
+
+    def bounded(n, i):
+        # fails the test before a generator of n > 22 anyons (over 1 GB) is built
+        assert n <= 22, f"dense {2 ** (n // 2 - 1)}-dimensional qubit generator requested"
+        return build(n, i)
+
+    # the walk calls the name it imported; a fix may drop either
+    for module in (fusion, nonabelian):
+        monkeypatch.setattr(module, "su22_qubit_generator", bounded, raising=False)
+    dist = nonabelian.distribution_dense(build_su2k(2), None, 13, representation="qubit")
+    assert dist.meta["norm_drift"] < 1e-12

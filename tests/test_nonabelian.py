@@ -312,7 +312,7 @@ def test_the_walk_path_lists_no_basis_and_builds_no_csr_generator(monkeypatch):
     passes = []
 
     def counting(model, *args):
-        passes.append(model.k)
+        passes.append(model)
         return reachable_fusion_space(model, *args)
 
     monkeypatch.setattr(nonabelian, "braid_generator", refuse)
@@ -323,41 +323,43 @@ def test_the_walk_path_lists_no_basis_and_builds_no_csr_generator(monkeypatch):
     rows = nonabelian.sweep_distances(ks, t=10)
     assert [k for k, _, _ in rows] == ks
     assert min(rows, key=lambda row: row[2])[0] == 6
-    # the paths of a ten-step walk at level 80 reach charge 3, so every level
-    # k >= 3 shares one pass and level 2 needs its own
-    assert passes == [80, 2]
-    # and a sweep of planned levels runs none
+    # one level-free pass plans the geometry: its paths reach charge 3, so
+    # every level k >= 3 walks the whole plan and level 2 its view
+    assert passes == [None]
+    # and a sweep of a planned geometry runs none
     passes.clear()
     assert nonabelian.sweep_distances(ks, t=10) == rows
     assert passes == []
-    # a cold sweep above level 2 runs the one shared pass
+    # a cold sweep above level 2 runs the same one pass
     nonabelian._plans.clear()
     nonabelian.sweep_distances(list(range(3, 31)) + [40, 60, 80], t=10)
-    assert passes == [80]
+    assert passes == [None]
 
 
 def test_a_plan_serves_every_level_its_pass_could_not_truncate(monkeypatch):
-    # at t = 12 levels 3 and 4 each reach their own highest charge, so each
-    # plan serves its level alone; level 80 reaches charge 4 only, so its plan
-    # serves 5 and 40 as well
+    # at t = 12 the level-free paths reach charge 4: level 3's walk plans
+    # the geometry and walks its view, and every level k >= 4 the whole plan
     passes = []
 
     def counting(model, *args):
-        passes.append(model.k)
+        passes.append(model)
         return reachable_fusion_space(model, *args)
 
     monkeypatch.setattr(nonabelian, "reachable_fusion_space", counting)
-    reused = [distribution_dense(build_su2k(k), None, 12).meta["plan_reused"]
-              for k in (3, 4, 80, 5, 40)]
-    assert passes == [3, 4, 80]
-    assert reused == [False, False, False, True, True]
+    dists = [distribution_dense(build_su2k(k), None, 12) for k in (3, 4, 80, 5, 40)]
+    assert passes == [None]
+    assert [dist.meta["plan_reused"] for dist in dists] == [False, True, True, True, True]
+    assert [dist.meta["reachable_dim"] for dist in dists] == [262] + [266] * 4
+    (plan,) = nonabelian._plans.values()
+    assert plan.top == 4 and list(plan.views) == [3]
 
 
 def test_threads_share_the_plan_cache(monkeypatch):
     # more threads than cores on a cache smaller than the geometries they
-    # walk, so lookups, inserts and evictions interleave
+    # walk, so lookups, inserts and evictions interleave; at t = 12 levels 2
+    # and 3 walk views of the plan, which the threads build concurrently
     monkeypatch.setattr(nonabelian, "PLAN_CACHE_SIZE", 2)
-    cases = [(k, t) for k in (2, 3, 5, 40) for t in (4, 6, 8)]
+    cases = [(k, t) for k in (2, 3, 5, 40) for t in (4, 6, 8)] + [(k, 12) for k in (2, 3, 4, 40)]
     want = {(k, t): distribution_dense(build_su2k(k), None, t).probs.tobytes() for k, t in cases}
     got, errors = [], []
 

@@ -61,6 +61,7 @@ _DENSE_ONLY = (
     "fusion",
     "nonabelian._evolve",
     "nonabelian._walk_plan",
+    "nonabelian._WalkPlan",
     "nonabelian._dense_levels",
     "nonabelian._gather_index",
     "nonabelian._qubit_rep",
